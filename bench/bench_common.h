@@ -228,7 +228,7 @@ inline void PrintHeader(const char* title, const Options& opts) {
   std::printf("trace scale: %.3f of the paper's normalised sizes (use --scale=1.0 for\n",
               opts.scale);
   std::printf("full-size traces); absolute numbers depend on this machine — compare the\n");
-  std::printf("*relative* shape against the paper's figures (see EXPERIMENTS.md).\n");
+  std::printf("*relative* shape against the paper's figures (see BENCHMARK.json).\n");
   std::printf("==========================================================================\n");
 }
 

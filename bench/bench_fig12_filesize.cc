@@ -51,8 +51,6 @@ int Run(int argc, char** argv) {
     // Yjs-style stores, which keep the current text hot), raw vs
     // per-column compression.
     SaveOptions v2_raw_opts = smol;
-    v2_raw_opts.format_version = 2;
-    v2_raw_opts.compress_columns = false;
     v2_raw_opts.cache_final_doc = true;
     uint64_t v2_raw = EncodeTrace(bt.trace, v2_raw_opts, bt.final_text, &surviving).size();
     SaveOptions v2_z_opts = v2_raw_opts;

@@ -3,8 +3,9 @@
 //
 // Rows per trace:
 //   eg-walker   merge: full replay (heuristic order, clearing enabled)
-//               cached load: read the cached text from the container, build
-//               the rope — no replay, the graph stays on disk
+//               cached load: read the checksummed cached-doc column of the
+//               v2 container and build the rope — no replay, and no graph
+//               decode (the graph stays on disk)
 //   OT          merge: TTF replay (quadratic in concurrency windows);
 //               on A2 the window is the whole trace, so the measurement
 //               runs at a capped scale and is extrapolated quadratically

@@ -14,7 +14,7 @@
 #include "core/state_tree.h"
 #include "core/walker.h"
 #include "graph/graph.h"
-#include "lz4/lz4.h"
+#include "lzhuf/lzhuf.h"
 #include "rope/rope.h"
 #include "rope/utf8.h"
 #include "sync/patch.h"
@@ -165,11 +165,8 @@ void BM_GraphDiff(benchmark::State& state) {
       tip_b = {lm};
     }
   }
-  // The uncached reference walk: Diff() would serve every iteration after
-  // the first from the frontier-keyed cache and measure nothing but the
-  // lookup (see BM_GraphDiffCached).
   for (auto _ : state) {
-    DiffResult d = g.DiffUncached(tip_a, tip_b);
+    DiffResult d = g.Diff(tip_a, tip_b);
     benchmark::DoNotOptimize(d.only_a.size());
   }
 }
@@ -213,7 +210,7 @@ void BM_GraphDiffWide(benchmark::State& state) {
   Frontier b = curr;
   b[0] = agent0_prev_tip;  // Agent 0 one run behind; still the smallest LV.
   for (auto _ : state) {
-    DiffResult d = g.DiffUncached(a, b);
+    DiffResult d = g.Diff(a, b);
     benchmark::DoNotOptimize(d.only_a.size());
   }
   const DiffStats& stats = g.diff_stats();
@@ -278,24 +275,6 @@ void BM_CompareRawManyAgents(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareRawManyAgents)->Arg(1000)->Arg(100000);
 
-void BM_GraphDiffCached(benchmark::State& state) {
-  // The cache-hit path on a recurring frontier pair (fan-out readers
-  // re-diffing the same document frontier).
-  Graph g;
-  AgentId a = g.GetOrCreateAgent("a");
-  AgentId b = g.GetOrCreateAgent("b");
-  g.Add(a, 0, 100, {});
-  Lv la = g.Add(a, 100, 50, {99});
-  Lv lb = g.Add(b, 0, 50, {99});
-  Frontier tip_a{la + 49};
-  Frontier tip_b{lb + 49};
-  for (auto _ : state) {
-    DiffResult d = g.Diff(tip_a, tip_b);
-    benchmark::DoNotOptimize(d.only_a.size());
-  }
-}
-BENCHMARK(BM_GraphDiffCached);
-
 void BM_MakePatchColdVsWatermarked(benchmark::State& state) {
   // The O(delta) patch pipeline's two extremes on one long two-author
   // history. Arg 0 — cold: an empty summary, so the whole history is
@@ -354,28 +333,28 @@ void BM_VarintEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_VarintEncodeDecode);
 
-void BM_Lz4CompressProse(benchmark::State& state) {
+void BM_LzHufCompressProse(benchmark::State& state) {
   Prng rng(4);
   std::string prose = GenerateProse(rng, 1 << 20);
   for (auto _ : state) {
-    std::string c = lz4::Compress(prose);
+    std::string c = lzhuf::Compress(prose);
     benchmark::DoNotOptimize(c.size());
   }
   state.SetBytesProcessed(state.iterations() * prose.size());
 }
-BENCHMARK(BM_Lz4CompressProse);
+BENCHMARK(BM_LzHufCompressProse);
 
-void BM_Lz4Decompress(benchmark::State& state) {
+void BM_LzHufDecompress(benchmark::State& state) {
   Prng rng(5);
   std::string prose = GenerateProse(rng, 1 << 20);
-  std::string compressed = lz4::Compress(prose);
+  std::string compressed = lzhuf::Compress(prose);
   for (auto _ : state) {
-    auto out = lz4::Decompress(compressed, prose.size());
+    auto out = lzhuf::Decompress(compressed, prose.size());
     benchmark::DoNotOptimize(out->size());
   }
   state.SetBytesProcessed(state.iterations() * prose.size());
 }
-BENCHMARK(BM_Lz4Decompress);
+BENCHMARK(BM_LzHufDecompress);
 
 }  // namespace
 }  // namespace egwalker

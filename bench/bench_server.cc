@@ -396,7 +396,12 @@ SoakResult RunShardedReplay(const Scenario& scenario, double* soak_ms, double* f
   NetSim net(BenchNetConfig());
   RouterConfig router_config;
   router_config.shards = scenario.shards;
-  router_config.shard.registry.max_resident = scenario.max_resident;
+  // Each shard owns its own registry: split the residency budget so an
+  // n-shard replay keeps the recorded run's total. Round up, so a nonzero
+  // budget never becomes 0 (unbounded).
+  const size_t shard_count = static_cast<size_t>(scenario.shards);
+  router_config.shard.registry.max_resident =
+      (scenario.max_resident + shard_count - 1) / shard_count;
   router_config.shard.broker.flush_every_events = 64;
   Router router(router_config);
   int self = router.Attach(net);

@@ -72,7 +72,7 @@ std::optional<Doc> LoadDoc(const std::string& path, const std::string& agent) {
 bool SaveDoc(const std::string& path, const Doc& doc) {
   SaveOptions opts;
   opts.cache_final_doc = true;
-  opts.compress_content = true;
+  opts.compress_columns = true;
   if (!WriteFile(path, doc.Save(opts))) {
     std::fprintf(stderr, "egw_cli: cannot write %s\n", path.c_str());
     return false;

@@ -17,8 +17,7 @@ std::string SimpleWalker::ReplayAll(SortMode mode, ReplaySinks sinks) {
   for (const WalkStep& step : plan.steps) {
     // Move the prepare version to the parents of the run's first event.
     Frontier parents = graph_.ParentsOf(step.span.start);
-    // Uncached: retreat/advance pairs never repeat (see Graph::Diff).
-    DiffResult diff = graph_.DiffUncached(prepare_version_, parents);
+    DiffResult diff = graph_.Diff(prepare_version_, parents);
     // Retreat newest-first so deletions are undone before their insertions.
     for (auto it = diff.only_a.rbegin(); it != diff.only_a.rend(); ++it) {
       RetreatRun(*it);

@@ -413,11 +413,7 @@ void Walker::EnterSpan(Lv first) {
   if (parents == prepare_version_) {
     return;
   }
-  // Uncached on purpose: the prepare version advances with every step, so
-  // retreat/advance pairs never repeat — caching them is pure insert cost
-  // (measured ~13% on C2). The cached Diff serves repeatable queries
-  // (planning windows, history reads, version comparisons).
-  DiffResult diff = graph_.DiffUncached(prepare_version_, parents);
+  DiffResult diff = graph_.Diff(prepare_version_, parents);
   // Retreat events only in the old prepare version (newest-first), then
   // advance events only in the new one. Because prepare states are plain
   // counters, per-span processing order does not affect the result.

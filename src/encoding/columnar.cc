@@ -15,16 +15,15 @@ namespace {
 
 constexpr char kMagic[4] = {'E', 'G', 'W', 'K'};
 constexpr char kSegmentMagic[4] = {'E', 'G', 'W', 'S'};
-// Container versions. v1 is the legacy concatenated-blob layout and is
-// frozen: its encode path below must stay byte-identical forever (the
-// format-version differential test in test_encoding.cc holds it to that).
-// v2 adds the column directory; see docs/EGWS.md.
+// Container versions; see docs/EGWS.md. Encoders write only v2 (column
+// directory). v1, the legacy concatenated-blob layout, is decode-only,
+// pinned by the committed fixtures in tests/golden/.
 constexpr uint8_t kFormatV1 = 1;
 constexpr uint8_t kFormatV2 = 2;
 
 constexpr uint8_t kFlagContentComplete = 1 << 0;
-// v1 only: the content column is LZ4-compressed. v2 records codecs per
-// column in the directory and never sets this flag.
+// v1 only (decode-only): the content column is LZ4-compressed. v2 records
+// codecs per column in the directory.
 constexpr uint8_t kFlagCompressed = 1 << 1;
 constexpr uint8_t kFlagCachedDoc = 1 << 2;
 // Segments only: the header carries a walker-session anchor (critical LV +
@@ -45,7 +44,7 @@ constexpr uint8_t kColSurvival = 5;  // Full format only.
 constexpr uint8_t kMaxColId = kColSurvival;
 
 constexpr uint8_t kCodecRaw = 0;
-constexpr uint8_t kCodecLz4 = 1;
+constexpr uint8_t kCodecLz4 = 1;  // Decode-only.
 constexpr uint8_t kCodecLzHuf = 2;
 constexpr uint8_t kCodecLzHufStatic = 3;  // Table-less fixed code (tiny columns).
 constexpr uint8_t kMaxCodec = kCodecLzHufStatic;
@@ -58,8 +57,7 @@ constexpr uint64_t kMaxColumnLen = 1ull << 28;  // 256 MiB
 // capped values cannot overflow uint64, so range checks stay sound.
 constexpr uint64_t kMaxCount = 1ull << 62;
 
-// Columns smaller than this skip the table-carrying codecs: LZ4's token
-// overhead beats any saving, and dynamic Huffman pays ~30-80 bytes of
+// Columns smaller than this skip the dynamic code: it pays ~30-80 bytes of
 // code-length tables before the first symbol.
 constexpr size_t kCompressMinLen = 64;
 // Columns in [kStaticMinLen, kStaticTryMax) additionally try the table-less
@@ -79,11 +77,6 @@ uint32_t Fnv1a(std::string_view bytes) {
     h *= 16777619u;
   }
   return h;
-}
-
-void AppendLenPrefixed(std::string& out, const std::string& column) {
-  AppendVarint(out, column.size());
-  out += column;
 }
 
 // --- v2 column block ---------------------------------------------------------
@@ -106,10 +99,10 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
   for (size_t i = 0; i < cols.size(); ++i) {
     const std::string& raw = *cols[i].data;
     if (compress && raw.size() >= kStaticMinLen) {
-      // Segments compress once and decode many times, so trying every
-      // plausible codec is the right trade. Tiny columns only get the
+      // Segments compress once and decode many times, so trying both
+      // lzhuf codes is the right trade. Tiny columns only get the
       // table-less static code; mid-size columns race it against the
-      // dynamic code and LZ4 (either of which occasionally wins).
+      // dynamic code.
       std::string packed;
       uint8_t packed_codec = kCodecLzHufStatic;
       if (raw.size() < kStaticTryMax) {
@@ -120,11 +113,6 @@ void AppendColumnBlock(std::string& out, const std::vector<ColumnSpec>& cols, bo
         if (packed.empty() || dyn.size() < packed.size()) {
           packed = std::move(dyn);
           packed_codec = kCodecLzHuf;
-        }
-        std::string lz4_packed = lz4::Compress(raw);
-        if (lz4_packed.size() < packed.size()) {
-          packed = std::move(lz4_packed);
-          packed_codec = kCodecLz4;
         }
       }
       // Keep the compressed form only when it saves at least 1/8th.
@@ -235,6 +223,8 @@ const char* ReadColumnBlock(ByteReader& reader, std::vector<StoredColumn>& out) 
 std::optional<std::string> DecompressColumn(uint8_t codec, std::string_view stored,
                                             uint64_t raw_size) {
   switch (codec) {
+    case kCodecRaw:
+      return std::string(stored);
     case kCodecLz4:
       return lz4::Decompress(stored, raw_size);
     case kCodecLzHuf:
@@ -290,63 +280,48 @@ bool BlockHasColumn(const std::vector<StoredColumn>& cols, uint8_t id) {
 // checkpoint segments (EncodeSegment/DecodeSegmentInto) use the same three
 // structure columns; the only difference is the window [base_lv, end_lv)
 // they cover (the full format is simply base_lv == 0). One implementation
-// serves both so the formats cannot drift apart. Both container versions
-// share them too — v1 vs v2 only changes how column bytes are framed.
+// serves both so the formats cannot drift apart. The decoders also read
+// the legacy v1 column layouts, noted where they differ.
 
 // Column 1: operations — (type, direction, run length) headers with start
 // positions delta-coded against the cursor implied by the previous run,
 // restarting from 0 at base_lv. When `content` is non-null, the UTF-8 of
 // insert slices is appended to it in event order.
 //
-// v1 interleaves header and delta varints per run, with positions
-// delta-coded against one global cursor. v2 (`g` non-null) changes two
-// things, both aimed at the entropy coder:
-//   - the column is split into two back-to-back streams (varint
-//     header-stream length, all headers, all deltas), so each stream is a
-//     homogeneous byte population;
-//   - positions are delta-coded against a *per-agent* cursor, with runs
-//     clipped at agent-span boundaries. Concurrent editors each type at
-//     their own location, so interleaved traces produce huge alternating
-//     global-cursor jumps but tiny per-agent ones. Cursors are
-//     column-local (all start at 0), so segments stay self-delimiting.
-void WriteOpsColumn(const OpLog& ops, Lv base_lv, Lv end_lv, std::string& ops_col,
-                    std::string* content, const Graph* g) {
-  const bool v2 = g != nullptr;
+// The column is two back-to-back streams (varint header-stream length, all
+// headers, all deltas), so each stream is a homogeneous byte population
+// for the entropy coder. Positions are delta-coded against a *per-agent*
+// cursor, with runs clipped at agent-span boundaries: concurrent editors
+// each type at their own location, so interleaved traces produce huge
+// alternating global-cursor jumps but tiny per-agent ones. Cursors are
+// column-local (all start at 0), so segments stay self-delimiting.
+void WriteOpsColumn(const OpLog& ops, const Graph& g, Lv base_lv, Lv end_lv,
+                    std::string& ops_col, std::string* content) {
   std::string headers;
   std::string deltas;
-  std::string& hdr = v2 ? headers : ops_col;
-  std::string& dlt = v2 ? deltas : ops_col;
-  int64_t global_cursor = 0;
-  std::unordered_map<AgentId, int64_t> cursors;  // v2 only
+  std::unordered_map<AgentId, int64_t> cursors;
   for (Lv lv = base_lv; lv < end_lv;) {
-    Lv bound = end_lv;
-    int64_t* cursor = &global_cursor;
-    if (v2) {
-      const AgentSpan& as = g->agent_spans().FindChecked(lv);
-      bound = std::min<Lv>(end_lv, as.span.end);
-      cursor = &cursors[as.agent];
-    }
-    OpSlice slice = ops.SliceAt(lv, bound);
+    const AgentSpan& as = g.agent_spans().FindChecked(lv);
+    int64_t& cursor = cursors[as.agent];
+    OpSlice slice = ops.SliceAt(lv, std::min<Lv>(end_lv, as.span.end));
     uint64_t tag = (slice.kind == OpKind::kDelete ? 1 : 0) | (slice.fwd ? 2 : 0);
-    AppendVarint(hdr, (slice.count << 2) | tag);
-    AppendVarintSigned(dlt, static_cast<int64_t>(slice.pos_start) - *cursor);
+    AppendVarint(headers, (slice.count << 2) | tag);
+    AppendVarintSigned(deltas, static_cast<int64_t>(slice.pos_start) - cursor);
     if (slice.kind == OpKind::kInsert) {
-      *cursor = static_cast<int64_t>(slice.pos_start + slice.count);
+      cursor = static_cast<int64_t>(slice.pos_start + slice.count);
       if (content != nullptr) {
         *content += slice.text;
       }
     } else if (slice.fwd) {
-      *cursor = static_cast<int64_t>(slice.pos_start);
+      cursor = static_cast<int64_t>(slice.pos_start);
     } else {
-      *cursor = static_cast<int64_t>(slice.pos_start - (slice.count - 1));
+      cursor = static_cast<int64_t>(slice.pos_start - (slice.count - 1));
     }
     lv += slice.count;
   }
-  if (v2) {
-    AppendVarint(ops_col, headers.size());
-    ops_col += headers;
-    ops_col += deltas;
-  }
+  AppendVarint(ops_col, headers.size());
+  ops_col += headers;
+  ops_col += deltas;
 }
 
 // Column 2: parents — one record per graph run clipped to the window;
@@ -373,13 +348,12 @@ void WriteParentsColumn(const Graph& g, Lv base_lv, Lv end_lv, std::string& col)
 // translates interned AgentIds to column indexes (nullptr = identity, for
 // the full format whose table holds every agent in id order).
 //
-// v1 stores each run's absolute start seq. v2 stores it zigzag-coded
-// against the agent's column-local continuation (the end of its previous
-// run in this window, or 0 for its first run): agents almost always
-// continue where they left off, so the delta stream is nearly all zeros.
+// Each run's start seq is zigzag-coded against the agent's column-local
+// continuation (the end of its previous run in this window, or 0 for its
+// first run): agents almost always continue where they left off, so the
+// delta stream is nearly all zeros.
 void WriteAgentsColumn(const Graph& g, Lv base_lv, Lv end_lv,
-                       const std::unordered_map<AgentId, uint32_t>* remap, std::string& col,
-                       bool v2) {
+                       const std::unordered_map<AgentId, uint32_t>* remap, std::string& col) {
   std::unordered_map<uint64_t, uint64_t> expected;  // column agent idx -> next seq
   for (Lv lv = base_lv; lv < end_lv;) {
     const AgentSpan& as = g.agent_spans().FindChecked(lv);
@@ -388,14 +362,10 @@ void WriteAgentsColumn(const Graph& g, Lv base_lv, Lv end_lv,
     uint64_t seq = as.seq_start + (lv - as.span.start);
     AppendVarint(col, idx);
     AppendVarint(col, len);
-    if (v2) {
-      auto it = expected.find(idx);
-      uint64_t exp = it == expected.end() ? 0 : it->second;
-      AppendVarintSigned(col, static_cast<int64_t>(seq) - static_cast<int64_t>(exp));
-      expected[idx] = seq + len;
-    } else {
-      AppendVarint(col, seq);
-    }
+    auto it = expected.find(idx);
+    uint64_t exp = it == expected.end() ? 0 : it->second;
+    AppendVarintSigned(col, static_cast<int64_t>(seq) - static_cast<int64_t>(exp));
+    expected[idx] = seq + len;
     lv = as.span.end;
   }
 }
@@ -654,6 +624,60 @@ const char* ParseSurvivalColumn(const std::string& survival_col, std::vector<LvS
   return nullptr;
 }
 
+// One container's columns, decompressed but not yet parsed.
+struct RawColumns {
+  std::string ops;
+  std::string parents;
+  std::string agents;
+  std::string survival;  // Only when deleted content was omitted.
+  std::string content;
+  std::optional<std::string> cached_doc;
+};
+
+// The legacy v1 column framing (decode-only): length-prefixed ops, parents
+// and agents columns, the survival column when deleted content was
+// omitted, the content column (raw, or LZ4 under kFlagCompressed), then the
+// cached document when flagged. The columns end the container.
+const char* ReadV1Columns(ByteReader& reader, uint8_t flags, RawColumns& out) {
+  auto read_column = [&](std::string& col) {
+    auto len = reader.ReadVarint();
+    return len && reader.ReadBytes(*len, col);
+  };
+  if (!read_column(out.ops) || !read_column(out.parents) || !read_column(out.agents)) {
+    return "truncated columns";
+  }
+  if ((flags & kFlagContentComplete) == 0 && !read_column(out.survival)) {
+    return "truncated survival column";
+  }
+  auto raw_content_len = reader.ReadVarint();
+  if (!raw_content_len) {
+    return "truncated content length";
+  }
+  if ((flags & kFlagCompressed) != 0) {
+    if (*raw_content_len > kMaxColumnLen) {
+      return "content length too large";
+    }
+    std::string comp;
+    if (!read_column(comp)) {
+      return "truncated compressed content";
+    }
+    auto decompressed = lz4::Decompress(comp, *raw_content_len);
+    if (!decompressed) {
+      return "corrupt compressed content";
+    }
+    out.content = std::move(*decompressed);
+  } else if (!reader.ReadBytes(*raw_content_len, out.content)) {
+    return "truncated content";
+  }
+  if ((flags & kFlagCachedDoc) != 0) {
+    out.cached_doc.emplace();
+    if (!read_column(*out.cached_doc)) {
+      return "truncated cached document";
+    }
+  }
+  return reader.empty() ? nullptr : "trailing bytes";
+}
+
 }  // namespace
 
 std::vector<LvSpan> ComputeSurvivingChars(const Graph& graph, const OpLog& ops) {
@@ -695,18 +719,13 @@ std::vector<LvSpan> ComputeSurvivingChars(const Graph& graph, const OpLog& ops) 
 std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
                         std::string_view final_doc, const std::vector<LvSpan>* surviving) {
   EGW_CHECK(options.include_deleted_content || surviving != nullptr);
-  EGW_CHECK(options.format_version == 1 || options.format_version == 2);
-  const bool v2 = options.format_version == 2;
 
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(v2 ? kFormatV2 : kFormatV1));
+  out.push_back(static_cast<char>(kFormatV2));
   uint8_t flags = 0;
   if (options.include_deleted_content) {
     flags |= kFlagContentComplete;
-  }
-  if (!v2 && options.compress_content) {
-    flags |= kFlagCompressed;
   }
   if (options.cache_final_doc) {
     flags |= kFlagCachedDoc;
@@ -727,13 +746,12 @@ std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
   // ops walk; the survival-filtered content is built separately below.
   std::string ops_col;
   std::string content;
-  WriteOpsColumn(trace.ops, 0, trace.graph.size(), ops_col,
-                 options.include_deleted_content ? &content : nullptr,
-                 v2 ? &trace.graph : nullptr);
+  WriteOpsColumn(trace.ops, trace.graph, 0, trace.graph.size(), ops_col,
+                 options.include_deleted_content ? &content : nullptr);
   std::string parents_col;
   WriteParentsColumn(trace.graph, 0, trace.graph.size(), parents_col);
   std::string agents_col;
-  WriteAgentsColumn(trace.graph, 0, trace.graph.size(), nullptr, agents_col, v2);
+  WriteAgentsColumn(trace.graph, 0, trace.graph.size(), nullptr, agents_col);
 
   // Column 4 (optional): survival spans, when deleted content is omitted.
   std::string survival_col;
@@ -783,42 +801,17 @@ std::string EncodeTrace(const Trace& trace, const SaveOptions& options,
     }
   }
 
-  if (v2) {
-    std::string cached(final_doc);
-    std::vector<ColumnSpec> cols = {
-        {kColOps, &ops_col}, {kColParents, &parents_col}, {kColAgents, &agents_col}};
-    if (!options.include_deleted_content) {
-      cols.push_back({kColSurvival, &survival_col});
-    }
-    cols.push_back({kColContent, &content});
-    if (options.cache_final_doc) {
-      cols.push_back({kColCachedDoc, &cached});
-    }
-    AppendColumnBlock(out, cols, options.compress_columns);
-    return out;
-  }
-
-  // --- v1 (frozen layout) ---
-  AppendLenPrefixed(out, ops_col);
-  AppendLenPrefixed(out, parents_col);
-  AppendLenPrefixed(out, agents_col);
+  std::string cached(final_doc);
+  std::vector<ColumnSpec> cols = {
+      {kColOps, &ops_col}, {kColParents, &parents_col}, {kColAgents, &agents_col}};
   if (!options.include_deleted_content) {
-    AppendLenPrefixed(out, survival_col);
+    cols.push_back({kColSurvival, &survival_col});
   }
-  AppendVarint(out, content.size());
-  if (options.compress_content) {
-    std::string compressed = lz4::Compress(content);
-    AppendVarint(out, compressed.size());
-    out += compressed;
-  } else {
-    out += content;
-  }
-
-  // Column 6 (optional): cached final document.
+  cols.push_back({kColContent, &content});
   if (options.cache_final_doc) {
-    AppendVarint(out, final_doc.size());
-    out += final_doc;
+    cols.push_back({kColCachedDoc, &cached});
   }
+  AppendColumnBlock(out, cols, options.compress_columns);
   return out;
 }
 
@@ -845,7 +838,6 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
     return fail("truncated flags");
   }
   bool content_complete = (*flags & kFlagContentComplete) != 0;
-  bool compressed = (*flags & kFlagCompressed) != 0;
   bool cached_doc = (*flags & kFlagCachedDoc) != 0;
   auto event_count = reader.ReadVarint();
   if (!event_count || *event_count > kMaxCount) {
@@ -870,7 +862,7 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
     agents.push_back(trace.graph.GetOrCreateAgent(name));
   }
 
-  std::string ops_col, parents_col, agents_col, survival_col, content;
+  RawColumns raw;
   if (v2) {
     std::vector<StoredColumn> cols;
     if (const char* err = ReadColumnBlock(reader, cols)) {
@@ -885,78 +877,38 @@ std::optional<DecodeResult> DecodeTrace(std::string_view bytes, std::string* err
         BlockHasColumn(cols, kColCachedDoc) != cached_doc) {
       return fail("column set does not match flags");
     }
-    const char* err = TakeColumn(cols, kColOps, ops_col);
-    if (err == nullptr) err = TakeColumn(cols, kColParents, parents_col);
-    if (err == nullptr) err = TakeColumn(cols, kColAgents, agents_col);
-    if (err == nullptr) err = TakeColumn(cols, kColContent, content);
+    const char* err = TakeColumn(cols, kColOps, raw.ops);
+    if (err == nullptr) err = TakeColumn(cols, kColParents, raw.parents);
+    if (err == nullptr) err = TakeColumn(cols, kColAgents, raw.agents);
+    if (err == nullptr) err = TakeColumn(cols, kColContent, raw.content);
     if (err == nullptr && !content_complete) {
-      err = TakeColumn(cols, kColSurvival, survival_col);
+      err = TakeColumn(cols, kColSurvival, raw.survival);
     }
-    std::string doc;
     if (err == nullptr && cached_doc) {
-      err = TakeColumn(cols, kColCachedDoc, doc);
+      raw.cached_doc.emplace();
+      err = TakeColumn(cols, kColCachedDoc, *raw.cached_doc);
     }
     if (err != nullptr) {
       return fail(err);
     }
-    if (cached_doc) {
-      result.cached_doc = std::move(doc);
-    }
-  } else {
-    auto read_column = [&](std::string& col) {
-      auto len = reader.ReadVarint();
-      return len && reader.ReadBytes(*len, col);
-    };
-    if (!read_column(ops_col) || !read_column(parents_col) || !read_column(agents_col)) {
-      return fail("truncated columns");
-    }
-    if (!content_complete && !read_column(survival_col)) {
-      return fail("truncated survival column");
-    }
-    auto raw_content_len = reader.ReadVarint();
-    if (!raw_content_len) {
-      return fail("truncated content length");
-    }
-    if (compressed) {
-      if (*raw_content_len > kMaxColumnLen) {
-        return fail("content length too large");
-      }
-      auto comp_len = reader.ReadVarint();
-      std::string comp;
-      if (!comp_len || !reader.ReadBytes(*comp_len, comp)) {
-        return fail("truncated compressed content");
-      }
-      auto decompressed = lz4::Decompress(comp, *raw_content_len);
-      if (!decompressed) {
-        return fail("corrupt compressed content");
-      }
-      content = std::move(*decompressed);
-    } else if (!reader.ReadBytes(*raw_content_len, content)) {
-      return fail("truncated content");
-    }
-    if (cached_doc) {
-      auto len = reader.ReadVarint();
-      std::string doc;
-      if (!len || !reader.ReadBytes(*len, doc)) {
-        return fail("truncated cached document");
-      }
-      result.cached_doc = std::move(doc);
-    }
+  } else if (const char* err = ReadV1Columns(reader, *flags, raw)) {
+    return fail(err);
   }
+  result.cached_doc = std::move(raw.cached_doc);
 
   std::vector<LvSpan> surviving;
   if (!content_complete) {
-    if (const char* err = ParseSurvivalColumn(survival_col, surviving)) {
+    if (const char* err = ParseSurvivalColumn(raw.survival, surviving)) {
       return fail(err);
     }
   }
 
   // --- Rebuild the graph and op log via the shared column walkers. ---
   if (const char* err =
-          DecodeGraphColumns(trace.graph, parents_col, agents_col, agents, 0, *event_count, v2)) {
+          DecodeGraphColumns(trace.graph, raw.parents, raw.agents, agents, 0, *event_count, v2)) {
     return fail(err);
   }
-  if (const char* err = DecodeOpsColumn(trace.ops, ops_col, content,
+  if (const char* err = DecodeOpsColumn(trace.ops, raw.ops, raw.content,
                                         content_complete ? nullptr : &surviving, 0,
                                         *event_count, v2 ? &trace.graph : nullptr)) {
     return fail(err);
@@ -969,8 +921,6 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   // Survival bitmaps are whole-trace properties; a chain cannot compose
   // them, so segments always carry deleted content.
   EGW_CHECK(options.include_deleted_content);
-  EGW_CHECK(options.format_version == 1 || options.format_version == 2);
-  const bool v2 = options.format_version == 2;
   const Graph& g = trace.graph;
   const OpLog& ops = trace.ops;
   EGW_CHECK(base_lv <= g.size());
@@ -983,11 +933,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
 
   std::string out;
   out.append(kSegmentMagic, sizeof(kSegmentMagic));
-  out.push_back(static_cast<char>(v2 ? kFormatV2 : kFormatV1));
+  out.push_back(static_cast<char>(kFormatV2));
   uint8_t flags = kFlagContentComplete;
-  if (!v2 && options.compress_content) {
-    flags |= kFlagCompressed;
-  }
   if (options.cache_final_doc) {
     flags |= kFlagCachedDoc;
   }
@@ -1010,8 +957,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   }
 
   // Segment-local agent table: only agents authoring events in the window.
-  // (Parents are LV deltas and never name agents.) v2 additionally records
-  // each agent's seq extent — within any LV window an agent's events are
+  // (Parents are LV deltas and never name agents.) Each entry also records
+  // the agent's seq extent — within any LV window an agent's events are
   // seq-contiguous, so (first_seq, count) per agent lets PeekSegment answer
   // "does this segment touch agent A's seqs [a, b)?" from the header.
   std::vector<AgentId> agent_table;
@@ -1037,10 +984,8 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
     const std::string& name = g.AgentName(agent_table[i]);
     AppendVarint(out, name.size());
     out += name;
-    if (v2) {
-      AppendVarint(out, agent_extents[i].first);
-      AppendVarint(out, agent_extents[i].second);
-    }
+    AppendVarint(out, agent_extents[i].first);
+    AppendVarint(out, agent_extents[i].second);
   }
 
   // Columns 1-3 (shared walkers, clipped to the window). A run straddling
@@ -1048,45 +993,21 @@ std::string EncodeSegment(const Trace& trace, Lv base_lv, const SaveOptions& opt
   // chain prefix; the ops cursor restarts from 0 at the segment boundary.
   std::string ops_col;
   std::string content;
-  WriteOpsColumn(ops, base_lv, end_lv, ops_col, &content, v2 ? &g : nullptr);
+  WriteOpsColumn(ops, g, base_lv, end_lv, ops_col, &content);
   std::string parents_col;
   WriteParentsColumn(g, base_lv, end_lv, parents_col);
   std::string agents_col;
-  WriteAgentsColumn(g, base_lv, end_lv, &agent_index, agents_col, v2);
+  WriteAgentsColumn(g, base_lv, end_lv, &agent_index, agents_col);
 
-  if (v2) {
-    std::string cached(final_doc);
-    std::vector<ColumnSpec> cols = {{kColOps, &ops_col},
-                                    {kColParents, &parents_col},
-                                    {kColAgents, &agents_col},
-                                    {kColContent, &content}};
-    if (options.cache_final_doc) {
-      cols.push_back({kColCachedDoc, &cached});
-    }
-    AppendColumnBlock(out, cols, options.compress_columns);
-    return out;
-  }
-
-  // --- v1 (frozen layout) ---
-  AppendLenPrefixed(out, ops_col);
-  AppendLenPrefixed(out, parents_col);
-  AppendLenPrefixed(out, agents_col);
-
-  // Column 4: inserted content of the window.
-  AppendVarint(out, content.size());
-  if (options.compress_content) {
-    std::string compressed = lz4::Compress(content);
-    AppendVarint(out, compressed.size());
-    out += compressed;
-  } else {
-    out += content;
-  }
-
-  // Column 5 (optional): cached document at the segment's end version.
+  std::string cached(final_doc);
+  std::vector<ColumnSpec> cols = {{kColOps, &ops_col},
+                                  {kColParents, &parents_col},
+                                  {kColAgents, &agents_col},
+                                  {kColContent, &content}};
   if (options.cache_final_doc) {
-    AppendVarint(out, final_doc.size());
-    out += final_doc;
+    cols.push_back({kColCachedDoc, &cached});
   }
+  AppendColumnBlock(out, cols, options.compress_columns);
   return out;
 }
 
@@ -1199,7 +1120,9 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
   if (!flags) {
     return fail("truncated segment flags");
   }
-  bool compressed = (*flags & kFlagCompressed) != 0;
+  if ((*flags & kFlagContentComplete) == 0) {
+    return fail("segment content incomplete");  // Segments never omit content.
+  }
   bool has_cached = (*flags & kFlagCachedDoc) != 0;
   auto base_lv = reader.ReadVarint();
   auto event_count = reader.ReadVarint();
@@ -1263,7 +1186,7 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
   }
 
   const Lv seg_end = *base_lv + *event_count;
-  std::string ops_col, parents_col, agents_col, content;
+  RawColumns raw;
   bool skip_ops = false;
 
   if (v2) {
@@ -1280,10 +1203,10 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
         BlockHasColumn(cols, kColCachedDoc) != has_cached) {
       return fail("segment column set does not match flags");
     }
-    if (const char* err = TakeColumn(cols, kColParents, parents_col)) {
+    if (const char* err = TakeColumn(cols, kColParents, raw.parents)) {
       return fail(err);
     }
-    if (const char* err = TakeColumn(cols, kColAgents, agents_col)) {
+    if (const char* err = TakeColumn(cols, kColAgents, raw.agents)) {
       return fail(err);
     }
     skip_ops = decode_options.skip_ops && skipped != nullptr;
@@ -1306,78 +1229,32 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
         }
       }
     } else {
-      if (const char* err = TakeColumn(cols, kColOps, ops_col)) {
+      if (const char* err = TakeColumn(cols, kColOps, raw.ops)) {
         return fail(err);
       }
-      if (const char* err = TakeColumn(cols, kColContent, content)) {
+      if (const char* err = TakeColumn(cols, kColContent, raw.content)) {
         return fail(err);
       }
     }
     if (has_cached) {
-      std::string doc;
-      if (const char* err = TakeColumn(cols, kColCachedDoc, doc)) {
+      raw.cached_doc.emplace();
+      if (const char* err = TakeColumn(cols, kColCachedDoc, *raw.cached_doc)) {
         return fail(err);
       }
-      if (cached_doc != nullptr) {
-        *cached_doc = std::move(doc);
-      }
-    } else if (cached_doc != nullptr && *event_count > 0) {
-      cached_doc->reset();
     }
-  } else {
-    auto read_column = [&](std::string& col) {
-      auto len = reader.ReadVarint();
-      return len && reader.ReadBytes(*len, col);
-    };
-    if (!read_column(ops_col) || !read_column(parents_col) || !read_column(agents_col)) {
-      return fail("truncated segment columns");
-    }
-
-    auto raw_content_len = reader.ReadVarint();
-    if (!raw_content_len) {
-      return fail("truncated segment content length");
-    }
-    if (compressed) {
-      if (*raw_content_len > kMaxColumnLen) {
-        return fail("segment content length too large");
-      }
-      auto comp_len = reader.ReadVarint();
-      std::string comp;
-      if (!comp_len || !reader.ReadBytes(*comp_len, comp)) {
-        return fail("truncated compressed segment content");
-      }
-      auto decompressed = lz4::Decompress(comp, *raw_content_len);
-      if (!decompressed) {
-        return fail("corrupt compressed segment content");
-      }
-      content = std::move(*decompressed);
-    } else if (!reader.ReadBytes(*raw_content_len, content)) {
-      return fail("truncated segment content");
-    }
-
-    if (has_cached) {
-      auto len = reader.ReadVarint();
-      std::string doc;
-      if (!len || !reader.ReadBytes(*len, doc)) {
-        return fail("truncated segment cached document");
-      }
-      if (cached_doc != nullptr) {
-        *cached_doc = std::move(doc);
-      }
-    } else if (cached_doc != nullptr && *event_count > 0) {
-      // Appending events invalidates the previous segment's cached document;
-      // an empty refresh segment (a clean eviction checkpointing its session)
-      // leaves it standing — the chain's end version is unchanged.
-      cached_doc->reset();
-    }
-    if (!reader.empty()) {
-      return fail("trailing segment bytes");
-    }
+  } else if (const char* err = ReadV1Columns(reader, *flags, raw)) {
+    return fail(err);
+  }
+  if (cached_doc != nullptr && (raw.cached_doc.has_value() || *event_count > 0)) {
+    // Appending events invalidates the previous segment's cached document;
+    // an empty refresh segment (a clean eviction checkpointing its session)
+    // leaves it standing — the chain's end version is unchanged.
+    *cached_doc = std::move(raw.cached_doc);
   }
 
   // --- Rebuild via the shared column walkers, windowed at base_lv. ---
   if (const char* err =
-          DecodeGraphColumns(trace.graph, parents_col, agents_col, agents, *base_lv, seg_end, v2)) {
+          DecodeGraphColumns(trace.graph, raw.parents, raw.agents, agents, *base_lv, seg_end, v2)) {
     return fail(err);
   }
   // v2: cross-check the header's agent extents against the decoded graph —
@@ -1393,7 +1270,7 @@ bool DecodeSegmentInto(Trace& trace, std::string_view bytes,
   }
   if (!skip_ops) {
     if (const char* err =
-            DecodeOpsColumn(trace.ops, ops_col, content, nullptr, *base_lv, seg_end,
+            DecodeOpsColumn(trace.ops, raw.ops, raw.content, nullptr, *base_lv, seg_end,
                             v2 ? &trace.graph : nullptr)) {
       return fail(err);
     }
@@ -1410,27 +1287,14 @@ bool DecodeSegmentOps(OpLog& ops, const Graph& graph, const SegmentOpsPayload& p
     return false;
   };
   EGW_CHECK(payload.skipped);
-  auto unpack = [&](uint8_t codec, uint64_t raw_size, const std::string& stored,
-                    std::string& out) {
-    if (codec == kCodecRaw) {
-      out = stored;
-      return true;
-    }
-    auto raw = DecompressColumn(codec, stored, raw_size);
-    if (!raw) {
-      return false;
-    }
-    out = std::move(*raw);
-    return true;
-  };
-  std::string ops_col;
-  std::string content;
-  if (!unpack(payload.ops_codec, payload.ops_raw, payload.ops_stored, ops_col) ||
-      !unpack(payload.content_codec, payload.content_raw, payload.content_stored, content)) {
+  auto ops_col = DecompressColumn(payload.ops_codec, payload.ops_stored, payload.ops_raw);
+  auto content =
+      DecompressColumn(payload.content_codec, payload.content_stored, payload.content_raw);
+  if (!ops_col || !content) {
     return fail("corrupt stored column payload");
   }
-  if (const char* err =
-          DecodeOpsColumn(ops, ops_col, content, nullptr, payload.base_lv, payload.end_lv, &graph)) {
+  if (const char* err = DecodeOpsColumn(ops, *ops_col, *content, nullptr, payload.base_lv,
+                                        payload.end_lv, &graph)) {
     return fail(err);
   }
   return true;
@@ -1485,31 +1349,12 @@ std::optional<std::string> ReadCachedDoc(std::string_view bytes) {
     }
     return std::nullopt;
   }
-  int columns = 3 + (((*flags & kFlagContentComplete) == 0) ? 1 : 0);
-  for (int c = 0; c < columns; ++c) {
-    auto len = reader.ReadVarint();
-    if (!len || !reader.Skip(*len)) {
-      return std::nullopt;
-    }
-  }
-  auto raw_len = reader.ReadVarint();
-  if (!raw_len) {
+  // v1 has no directory to seek through: read past every column.
+  RawColumns raw;
+  if (ReadV1Columns(reader, *flags, raw) != nullptr) {
     return std::nullopt;
   }
-  if ((*flags & kFlagCompressed) != 0) {
-    auto comp_len = reader.ReadVarint();
-    if (!comp_len || !reader.Skip(*comp_len)) {
-      return std::nullopt;
-    }
-  } else if (!reader.Skip(*raw_len)) {
-    return std::nullopt;
-  }
-  auto doc_len = reader.ReadVarint();
-  std::string doc;
-  if (!doc_len || !reader.ReadBytes(*doc_len, doc)) {
-    return std::nullopt;
-  }
-  return doc;
+  return std::move(raw.cached_doc);
 }
 
 }  // namespace egwalker

@@ -6,9 +6,9 @@
 //      length) tuples with varint fields — "the first 23 events are
 //      insertions at consecutive indexes starting from index 0, ...".
 //   2. Content: the UTF-8 of all inserted characters, concatenated in event
-//      order and LZ4-compressed. Optionally the content of characters that
-//      were later deleted is omitted (with a survival bitmap), which is the
-//      Figure 12 configuration.
+//      order. Optionally the content of characters that were later deleted
+//      is omitted (with a survival bitmap), which is the Figure 12
+//      configuration.
 //   3. Parents: one record per graph run; runs of the "parent = predecessor"
 //      default cost two varints, explicit parent lists appear only at
 //      branch/merge points.
@@ -21,26 +21,24 @@
 // implicit from the run encoding. The format round-trips Trace exactly
 // (except omitted deleted content, which decodes as U+FFFD placeholders).
 //
-// Two container versions exist (docs/EGWS.md is the full spec):
+// The container (docs/EGWS.md is the full spec) is v2, the indexed layout:
+// after the header, a column DIRECTORY records, per column, {column id,
+// codec id (raw | LZ+Huffman | static LZ+Huffman), raw size, stored size,
+// byte offset, FNV-1a checksum of the stored bytes}, and payloads follow.
+// Segment headers additionally carry per-agent seq extents, the ops column
+// splits its header/delta streams and delta-codes positions per agent, and
+// the agents column delta-codes seqs against each agent's column-local
+// continuation. The directory is what enables per-column compression,
+// cheap PeekSegment range answers, and LAZY column decode:
+// DecodeSegmentInto can skip decompressing + parsing the ops/content
+// columns of a segment (returning the stored bytes for later hydration)
+// while still decoding the graph columns and verifying every checksum — see
+// SegmentDecodeOptions below.
 //
-//   v1 (legacy): columns are concatenated length-prefixed blobs; only the
-//      content column may be LZ4-compressed (SaveOptions::compress_content).
-//      Kept byte-for-byte stable — decoders accept it forever, and encoders
-//      still emit it when SaveOptions::format_version == 1 (the default for
-//      the full file format, so Figure 8/11/12 baselines are unchanged).
-//   v2 (indexed): after the header, a column DIRECTORY records, per column,
-//      {column id, codec id (raw | LZ4 | LZ+Huffman | static LZ+Huffman),
-//      raw size, stored size,
-//      byte offset, FNV-1a checksum of the stored bytes}, and payloads
-//      follow. Segment headers additionally carry per-agent seq extents,
-//      the ops column splits its header/delta streams and delta-codes
-//      positions per agent, and the agents column delta-codes seqs against
-//      each agent's column-local continuation. The directory is what
-//      enables per-column compression, cheap PeekSegment range answers,
-//      and LAZY column decode: DecodeSegmentInto can skip decompressing +
-//      parsing the ops/content columns of a segment (returning the stored
-//      bytes for later hydration) while still decoding the graph columns
-//      and verifying every checksum — see SegmentDecodeOptions below.
+// Encoders write only v2. Decoders also accept, forever, what older
+// encoders wrote: the v1 layout (length-prefixed columns, optionally an
+// LZ4-compressed content column) and v2 columns stored with codec 1 (LZ4).
+// Committed fixtures in tests/golden/ pin those paths.
 //
 // Decoding is fail-closed at every layer: truncated, bit-flipped, or
 // length-inflated input makes DecodeTrace/PeekSegment return std::nullopt
@@ -63,10 +61,6 @@ struct SaveOptions {
   // Store the content of characters that no longer appear in the final
   // document. Disabling this mirrors Yjs's storage model (Figure 12).
   bool include_deleted_content = true;
-  // Format v1 only: LZ4-compress the content column (the paper disables
-  // this for the like-for-like size comparison in Figures 11/12, so benches
-  // do too). v2 compresses per column via compress_columns instead.
-  bool compress_content = false;
   // Append the final document text so loads need no replay.
   bool cache_final_doc = false;
   // Segments only: record the document's newest critical version (the
@@ -82,17 +76,11 @@ struct SaveOptions {
   // carrying it would pay O(session) bytes for nothing; DocRegistry sets
   // it on eviction (retiring) flushes alone.
   bool checkpoint_session_state = false;
-  // Container version to WRITE; decoders accept both. 1 = legacy layout,
-  // byte-identical to pre-directory encoders. 2 = indexed layout (column
-  // directory + checksums + agent extents), required for per-column
-  // compression and lazy decode. The full-format default stays 1 so
-  // existing size/load baselines are unaffected; DocRegistry's checkpoint
-  // options opt segments into 2.
-  int format_version = 1;
-  // Format v2 only: LZ4-compress each column whose compressed form is
-  // meaningfully smaller (tiny columns stay raw — see the codec heuristic
-  // in columnar.cc). Ignored by v1, which only honours compress_content.
-  bool compress_columns = true;
+  // Store each column compressed (LZ + Huffman, dynamic or static code)
+  // when that saves at least 1/8th of its bytes; see the codec heuristic in
+  // columnar.cc. Off writes every column raw. DocRegistry's checkpoints
+  // turn it on.
+  bool compress_columns = false;
 };
 
 // Ids (LV spans) of inserted characters that survive in the final document.
@@ -200,7 +188,8 @@ struct SegmentAgentExtent {
 // lazy-decode savings without touching payloads.
 struct SegmentColumn {
   uint8_t id = 0;           // kCol* in columnar.cc / docs/EGWS.md.
-  uint8_t codec = 0;        // 0 = raw, 1 = LZ4, 2 = LZ+Huffman, 3 = static LZ+Huffman.
+  uint8_t codec = 0;        // 0 = raw, 1 = LZ4 (decode-only), 2 = LZ+Huffman,
+                            // 3 = static LZ+Huffman.
   uint64_t raw_size = 0;    // Decompressed byte length.
   uint64_t stored_size = 0; // Byte length inside the container.
 };
@@ -214,7 +203,7 @@ struct SegmentInfo {
   SegmentAnchor anchor;     // anchor.lv == kInvalidLv when absent; the
                             // session_state bytes are NOT materialised by
                             // Peek (header metadata only).
-  int format_version = 1;
+  int format_version = 2;  // 1 only for legacy segments.
   // v2 only (empty for v1 segments): the header's agent extents and the
   // column directory.
   std::vector<SegmentAgentExtent> agents;

@@ -63,16 +63,6 @@ Lv Graph::Add(AgentId agent, uint64_t seq_start, uint64_t count, const Frontier&
       agent_linear_[agent] = 0;
     }
   }
-  if (diff_cache_spans_ > 0 || diff_cache_clock_ > 0) {
-    // Invalidate by freeing every slot; the slot storage itself is kept so
-    // the next merge's misses re-fill it without allocating.
-    for (DiffCacheEntry& entry : diff_cache_) {
-      entry.stamp = 0;
-    }
-    diff_cache_spans_ = 0;
-    diff_cache_clock_ = 0;
-    ++diff_cache_stats_.invalidations;
-  }
   Lv start = next_lv_;
   entries_.Push(GraphEntry{{start, start + count}, parents});
   agent_assignment_.Push(AgentSpan{{start, start + count}, agent, seq_start});
@@ -352,77 +342,6 @@ bool Graph::IsAncestor(Lv a, Lv b) const {
   return VersionContains(e.parents, a);
 }
 
-DiffResult Graph::Diff(const Frontier& a, const Frontier& b) const {
-  // Cache lookup, in either key order (swap the sides on a reversed hit).
-  // Slots are compared cheapest-test-first; a stamp of 0 marks a free slot.
-  for (DiffCacheEntry& entry : diff_cache_) {
-    if (entry.stamp == 0) {
-      continue;
-    }
-    if (entry.a == a && entry.b == b) {
-      entry.stamp = ++diff_cache_clock_;
-      ++diff_cache_stats_.hits;
-      return entry.result;
-    }
-    if (entry.a == b && entry.b == a) {
-      entry.stamp = ++diff_cache_clock_;
-      ++diff_cache_stats_.hits;
-      return DiffResult{entry.result.only_b, entry.result.only_a};
-    }
-  }
-  ++diff_cache_stats_.misses;
-  DiffResult result = DiffUncached(a, b);
-  DiffCacheInsert(a, b, result);
-  return result;
-}
-
-void Graph::DiffCacheInsert(const Frontier& a, const Frontier& b,
-                            const DiffResult& result) const {
-  if (a.size() > kDiffCacheMaxFrontier || b.size() > kDiffCacheMaxFrontier) {
-    return;
-  }
-  size_t spans = result.only_a.size() + result.only_b.size();
-  if (spans > kDiffCacheSpanBudget) {
-    return;  // Oversized results would crowd out everything else.
-  }
-  if (diff_cache_.empty()) {
-    diff_cache_.resize(kDiffCacheEntries);
-  }
-  // Overwrite the LRU slot in place: assignment reuses each vector's
-  // existing capacity, so a steady stream of misses allocates nothing and
-  // retention stays bounded by the slot count and the span budget.
-  size_t victim = 0;
-  for (size_t i = 1; i < diff_cache_.size(); ++i) {
-    if (diff_cache_[i].stamp < diff_cache_[victim].stamp) {
-      victim = i;
-    }
-  }
-  DiffCacheEntry& slot = diff_cache_[victim];
-  auto release = [&](DiffCacheEntry& entry) {
-    if (entry.stamp != 0) {
-      diff_cache_spans_ -= entry.result.only_a.size() + entry.result.only_b.size();
-      entry.stamp = 0;
-    }
-  };
-  release(slot);
-  while (diff_cache_spans_ + spans > kDiffCacheSpanBudget) {
-    size_t oldest = diff_cache_.size();
-    for (size_t i = 0; i < diff_cache_.size(); ++i) {
-      if (diff_cache_[i].stamp != 0 &&
-          (oldest == diff_cache_.size() || diff_cache_[i].stamp < diff_cache_[oldest].stamp)) {
-        oldest = i;
-      }
-    }
-    EGW_CHECK(oldest != diff_cache_.size());  // Budget >= any single result.
-    release(diff_cache_[oldest]);
-  }
-  slot.a = a;
-  slot.b = b;
-  slot.result = result;
-  slot.stamp = ++diff_cache_clock_;
-  diff_cache_spans_ += spans;
-}
-
 DiffResult Graph::DiffReference(const Frontier& a, const Frontier& b) const {
   using Entry = std::pair<Lv, uint8_t>;
   std::priority_queue<Entry> queue;
@@ -487,7 +406,7 @@ DiffResult Graph::DiffReference(const Frontier& a, const Frontier& b) const {
   return DiffResult{NormalizeDescending(std::move(only_a)), NormalizeDescending(std::move(only_b))};
 }
 
-DiffResult Graph::DiffUncached(const Frontier& a, const Frontier& b) const {
+DiffResult Graph::Diff(const Frontier& a, const Frontier& b) const {
   ++diff_stats_.calls;
   WmBegin();
 

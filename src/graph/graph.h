@@ -98,29 +98,11 @@ struct DiffResult {
   std::vector<LvSpan> only_b;
 };
 
-// Counters for the frontier-keyed diff cache (see Graph::Diff).
+// Counters for the diff walk (every Diff call): how much of the graph the
+// version algebra actually touches. The server soak asserts that diff work
+// scales with the runs a query touches, not with history length — these
+// counters make that a CI invariant instead of a profiler anecdote.
 // Reset/Merge follow the obs/stats.h contract.
-struct DiffCacheStats {
-  uint64_t hits = 0;           // Diff() answered from the cache.
-  uint64_t misses = 0;         // Diff() fell through to a graph walk.
-  uint64_t invalidations = 0;  // Cache clears triggered by Add().
-
-  template <typename Fn>
-  static void VisitFields(Fn&& fn) {
-    fn("hits", &DiffCacheStats::hits);
-    fn("misses", &DiffCacheStats::misses);
-    fn("invalidations", &DiffCacheStats::invalidations);
-  }
-  void Merge(const DiffCacheStats& other) { obs::MergeStats(*this, other); }
-  void Reset() { obs::ResetStats(*this); }
-};
-
-// Counters for the diff walk itself (every DiffUncached walk, including
-// cache misses): how much of the graph the version algebra actually
-// touches. The server soak asserts that diff work scales with the runs a
-// query touches, not with history length — these counters make that a CI
-// invariant instead of a profiler anecdote. Reset/Merge follow the
-// obs/stats.h contract.
 struct DiffStats {
   uint64_t calls = 0;           // Graph walks performed.
   uint64_t runs_visited = 0;    // Queue pops that consumed part of an entry.
@@ -244,34 +226,7 @@ class Graph {
   // retreat/advance, broker fan-out) that dominate collaborative soaks.
   // The event-level walk this replaces survives verbatim as
   // DiffReference() below, the differential-testing oracle.
-  //
-  // Results are memoised in a small frontier-keyed LRU cache, which pays off
-  // on repeatable queries: fan-out where many readers diff against the same
-  // document frontier, history browsing (TextAt planning re-diffs the same
-  // version), and repeated version comparisons. The cache is consulted for
-  // the pair in either order (the result is symmetric modulo swapping
-  // only_a/only_b). Call sites whose pairs are unique by construction — the
-  // walker's retreat/advance path, where the prepare version advances with
-  // every step — use DiffUncached instead, since caching a never-repeating
-  // stream is pure insert cost.
-  //
-  // Invalidation contract: Add() clears the cache. (Appending events never
-  // changes the closure of existing frontiers, so this is conservative; it
-  // keeps the cache trivially correct under any future mutation and bounds
-  // staleness reasoning to a single merge window.)
-  //
-  // Memory contract (mirrors util/pool.h's memtrack note): cached spans are
-  // ordinary tracked heap and stay visible to the Figure 10 accounting.
-  // Retention is capped — at most kDiffCacheEntries keys and
-  // kDiffCacheSpanBudget total cached spans, frontiers of at most
-  // kDiffCacheMaxFrontier members — so a steady-state Graph retains well
-  // under ~2 KiB of cache, and oversized results are simply not cached.
   DiffResult Diff(const Frontier& a, const Frontier& b) const;
-
-  // The uncached run-level walk behind Diff(). Exposed for differential
-  // tests (cached vs uncached) and for callers that know the pair will
-  // never recur (the walker's retreat/advance path).
-  DiffResult DiffUncached(const Frontier& a, const Frontier& b) const;
 
   // The original event-at-a-time walk, kept as the differential oracle
   // (mirroring sync's MakePatchReference): it is the simplest possible
@@ -281,13 +236,7 @@ class Graph {
   // calls it.
   DiffResult DiffReference(const Frontier& a, const Frontier& b) const;
 
-  const DiffCacheStats& diff_cache_stats() const { return diff_cache_stats_; }
   const DiffStats& diff_stats() const { return diff_stats_; }
-
-  // Cache retention caps (see Diff). Public so tests can pin behaviour.
-  static constexpr size_t kDiffCacheEntries = 8;
-  static constexpr size_t kDiffCacheMaxFrontier = 4;
-  static constexpr size_t kDiffCacheSpanBudget = 96;
 
   // All events in Events(frontier), as ascending spans.
   std::vector<LvSpan> EventsOf(const Frontier& frontier) const;
@@ -301,7 +250,7 @@ class Graph {
   int CompareAgents(AgentId a, AgentId b) const;
   void RebuildAgentRanks() const;
 
-  // --- Run-level walk helpers (see DiffUncached) ----------------------------
+  // --- Run-level walk helpers (see Diff) ------------------------------------
   // Per-agent seq watermarks, one set per diff side, epoch-stamped so a new
   // walk invalidates them in O(1) instead of clearing (the vectors persist
   // across calls; steady-state walks allocate nothing).
@@ -353,18 +302,6 @@ class Graph {
   Frontier version_;
   Lv next_lv_ = 0;
 
-  // Frontier-keyed diff cache (see Diff). Mutable: Diff is logically const.
-  struct DiffCacheEntry {
-    Frontier a;
-    Frontier b;
-    DiffResult result;
-    uint64_t stamp = 0;  // LRU clock value of the last hit or insert.
-  };
-  void DiffCacheInsert(const Frontier& a, const Frontier& b, const DiffResult& result) const;
-  mutable std::vector<DiffCacheEntry> diff_cache_;
-  mutable size_t diff_cache_spans_ = 0;  // Total spans across cached results.
-  mutable uint64_t diff_cache_clock_ = 0;
-  mutable DiffCacheStats diff_cache_stats_;
   mutable DiffStats diff_stats_;
 
   // Per-agent linearity flags (see agent_linear()); maintained by Add.
@@ -383,7 +320,7 @@ class Graph {
   mutable size_t agent_col_hint_ = static_cast<size_t>(-1);
   mutable size_t entry_col_hint_ = static_cast<size_t>(-1);
 
-  // Queue scratch for DiffUncached (reused across calls): the heap orders
+  // Queue scratch for Diff (reused across calls): the heap orders
   // pending run tops; the map holds each one's accumulated flags, so an
   // event enters the heap once no matter how many branches reach it. The
   // map is the insert-only epoch-cleared kind — sound because the walk

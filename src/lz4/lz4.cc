@@ -26,42 +26,7 @@ uint32_t Hash4(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashLog);
 }
 
-// Emits a length using LZ4's 4-bit + 255-run scheme. `nibble_len` is what
-// was stored in the token; this writes the extension bytes, if any.
-void EmitLengthExtension(std::string& out, size_t len) {
-  while (len >= 255) {
-    out.push_back(static_cast<char>(0xff));
-    len -= 255;
-  }
-  out.push_back(static_cast<char>(len));
-}
-
-void EmitSequence(std::string& out, const uint8_t* literals, size_t lit_len, size_t match_len,
-                  size_t offset) {
-  size_t lit_nibble = lit_len < 15 ? lit_len : 15;
-  bool has_match = match_len > 0;
-  size_t match_code = has_match ? match_len - kMinMatch : 0;
-  size_t match_nibble = has_match ? (match_code < 15 ? match_code : 15) : 0;
-  out.push_back(static_cast<char>((lit_nibble << 4) | match_nibble));
-  if (lit_nibble == 15) {
-    EmitLengthExtension(out, lit_len - 15);
-  }
-  out.append(reinterpret_cast<const char*>(literals), lit_len);
-  if (has_match) {
-    out.push_back(static_cast<char>(offset & 0xff));
-    out.push_back(static_cast<char>(offset >> 8));
-    if (match_nibble == 15) {
-      EmitLengthExtension(out, match_code - 15);
-    }
-  }
-}
-
 }  // namespace
-
-size_t MaxCompressedSize(size_t src_size) {
-  // LZ4_compressBound: worst case is all literals with length extensions.
-  return src_size + src_size / 255 + 16;
-}
 
 std::vector<LzStep> Parse(std::string_view src) {
   std::vector<LzStep> steps;
@@ -79,8 +44,7 @@ std::vector<LzStep> Parse(std::string_view src) {
   // same hash in strictly decreasing order, and the search walks a bounded
   // number of candidates picking the longest match. Compression is a
   // write-path-only cost here (segments compress once, decode many), so
-  // ratio is worth more than matcher speed — and the output stays standard
-  // block format, so Decompress is untouched.
+  // ratio is worth more than matcher speed.
   constexpr uint32_t kNoPos = 0xFFFFFFFFu;
   constexpr size_t kMaxProbes = 128;
   std::vector<uint32_t> head(size_t{1} << kHashLog, kNoPos);
@@ -170,18 +134,6 @@ std::vector<LzStep> Parse(std::string_view src) {
   // Final literal-only step.
   steps.push_back(LzStep{n - anchor, 0, 0});
   return steps;
-}
-
-std::string Compress(std::string_view src) {
-  std::string out;
-  out.reserve(src.size() / 2 + 64);
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(src.data());
-  size_t pos = 0;
-  for (const LzStep& step : Parse(src)) {
-    EmitSequence(out, base + pos, step.literals, step.match_len, step.offset);
-    pos += step.literals + step.match_len;
-  }
-  return out;
 }
 
 std::optional<std::string> Decompress(std::string_view src, size_t decompressed_size) {

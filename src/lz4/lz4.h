@@ -1,15 +1,16 @@
-// An LZ4 block-format codec, implemented from scratch.
+// The LZ4 block format: a decoder, plus the match finder it shares with
+// the lzhuf codec, implemented from scratch.
 //
 // Section 3.8 of the paper LZ4-compresses the inserted-content column of the
-// event-graph file format. This module provides a compatible block
-// compressor (hash-chain matcher with lazy evaluation, the HC strategy) and
-// a bounds-checked decompressor. The compressed framing (where sizes live)
-// is up to the caller; the columnar encoder stores the decompressed size as
-// a varint next to the block.
+// event-graph file format. The encoder no longer emits LZ4 (the lzhuf
+// codes beat it on every column measured), but files written by older
+// encoders carry LZ4 blocks — the v1 content column and v2 columns with
+// codec 1 — so Decompress stays. The framing (where sizes live) is up to
+// the caller.
 //
-// The match search is exposed separately as Parse(): the lzhuf codec
-// (lzhuf/lzhuf.h) entropy-codes the same LZ step stream instead of emitting
-// block format, so both codecs share one matcher.
+// Parse() is the hash-chain match search (the HC strategy, with lazy
+// evaluation): the lzhuf codec (lzhuf/lzhuf.h) entropy-codes its LZ step
+// stream.
 
 #ifndef EGWALKER_LZ4_LZ4_H_
 #define EGWALKER_LZ4_LZ4_H_
@@ -36,15 +37,9 @@ struct LzStep {
 // steps exactly cover src; the last step is literal-only.
 std::vector<LzStep> Parse(std::string_view src);
 
-// Worst-case compressed size for `src_size` input bytes.
-size_t MaxCompressedSize(size_t src_size);
-
-// Compresses `src` into LZ4 block format.
-std::string Compress(std::string_view src);
-
-// Decompresses an LZ4 block produced by Compress (or any valid LZ4 block).
-// `decompressed_size` must be the exact original size. Returns std::nullopt
-// on malformed input (including any out-of-bounds reference).
+// Decompresses an LZ4 block. `decompressed_size` must be the exact original
+// size. Returns std::nullopt on malformed input (including any
+// out-of-bounds reference).
 std::optional<std::string> Decompress(std::string_view src, size_t decompressed_size);
 
 }  // namespace egwalker::lz4

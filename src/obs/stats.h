@@ -2,7 +2,7 @@
 //
 // Before this layer every stats struct rolled its own lifecycle:
 // Broker::Stats had a hand-written Merge() and no Reset, Graph's
-// DiffStats/DiffCacheStats were cleared by whole-struct assignment in
+// DiffStats was cleared by whole-struct assignment in
 // tests and never merged, DocRegistry::Stats was summed field-by-field
 // wherever a sharded aggregate was needed, and NetSim::Stats had neither.
 // One contract now covers all of them:

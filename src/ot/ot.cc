@@ -75,8 +75,7 @@ void OtReplayer::EnterSpan(Lv first) {
   if (parents == prepare_version_) {
     return;
   }
-  // Uncached: retreat/advance pairs never repeat (see Graph::Diff).
-  DiffResult diff = graph_.DiffUncached(prepare_version_, parents);
+  DiffResult diff = graph_.Diff(prepare_version_, parents);
   for (auto it = diff.only_a.rbegin(); it != diff.only_a.rend(); ++it) {
     ProcessPrepSpan(*it, -1);
   }

@@ -96,13 +96,10 @@ struct DocRegistryConfig {
   std::string agent = "!server";
   // Options for flushed segments. cache_final_doc stays on so chain
   // reloads are replay-free; include_deleted_content must stay true
-  // (segments cannot compose survival bitmaps). The indexed v2 layout with
-  // per-column compression is the default: reloads lazily skip old
-  // segments' ops/content columns and the at-rest chain shrinks.
+  // (segments cannot compose survival bitmaps). Columns are compressed:
+  // segments are written once and reloaded many times.
   SaveOptions checkpoint{.include_deleted_content = true,
-                         .compress_content = false,
                          .cache_final_doc = true,
-                         .format_version = 2,
                          .compress_columns = true};
   // Compact a chain back to one consolidated segment once a flush leaves it
   // this long (0 = never). Bounds reload cost for eviction-churned

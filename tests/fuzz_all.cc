@@ -6,8 +6,8 @@
 // under every sort order with and without clearing, both CRDT baselines
 // (via the ID-based op stream), and the OT baseline. Each seed additionally
 // drives (under the ASan/UBSan CI configuration):
-//   - random frontier pairs through the cached Graph::Diff vs the uncached
-//     reference walk, with interleaved Appends exercising invalidation;
+//   - random frontier pairs through the run-level Graph::Diff vs the
+//     event-level DiffReference oracle, with interleaved Appends;
 //   - the run-carrying OpLog::SliceAt cursor vs the plain overload across
 //     random jump patterns (stale-hint recovery included);
 //   - randomized summary/patch exchange sequences through paired document
@@ -37,6 +37,7 @@
 #include "encoding/columnar.h"
 #include "crdt/naive_crdt.h"
 #include "crdt/ref_crdt.h"
+#include "golden/fixtures.h"
 #include "ot/ot.h"
 #include "sync/patch.h"
 #include "testing/random_trace.h"
@@ -45,7 +46,7 @@
 namespace egwalker {
 namespace {
 
-bool CheckDiffCacheAndCursor(uint64_t seed, const Trace& t);
+bool CheckDiffAndCursor(uint64_t seed, const Trace& t);
 bool CheckSessionPatchSequences(uint64_t seed);
 bool CheckSegmentCorruption(uint64_t seed);
 bool CheckHostilePreset(uint64_t seed);
@@ -101,7 +102,7 @@ bool CheckSeed(uint64_t seed) {
     return false;
   }
 
-  if (!CheckDiffCacheAndCursor(seed, t)) {
+  if (!CheckDiffAndCursor(seed, t)) {
     return false;
   }
   return CheckSessionPatchSequences(seed) && CheckSegmentCorruption(seed) &&
@@ -188,19 +189,34 @@ bool CheckHostilePreset(uint64_t seed) {
   return true;
 }
 
-// Fail-closed decoder: a genuine multi-segment chain (mixed v1/v2 layouts,
-// codec and cached-doc choices per segment, real concurrent merges) must
-// load byte-identically when pristine, and arbitrary corruption —
-// truncation, bit flips, overwrites, length inflation — must never crash
-// PeekSegment, DecodeSegmentInto, or Doc::LoadChain. A mutated chain that
-// still decodes (flips in v1 content bytes are not checksummed) only has to
-// produce a well-formed document.
+// Fail-closed decoder: a genuine multi-segment chain must load
+// byte-identically when pristine, and arbitrary corruption — truncation,
+// bit flips, overwrites, length inflation — must never crash PeekSegment,
+// DecodeSegmentInto, or Doc::LoadChain. Chains start from a committed
+// legacy prefix (tests/golden/: one to three v1 segments, or a v2 segment
+// with LZ4 columns) so the decode-only layouts stay mutation-fuzzed, then
+// grow by fresh v2 segments with per-segment codec and cached-doc choices
+// over real concurrent merges. A mutated chain that still decodes (flips
+// in v1 content bytes are not checksummed) only has to produce a
+// well-formed document.
 bool CheckSegmentCorruption(uint64_t seed) {
   Prng rng(seed ^ 0xc0441);
-  Doc a("fuzz-a");
+  std::vector<std::string> chain = golden::LegacyChain();
+  if (uint64_t pick = rng.Below(4); pick < 3) {
+    chain.resize(pick + 1);
+  } else {
+    chain = {golden::ReadFixture("v2_codec1.egws")};
+  }
+  auto prefix = Doc::LoadChain(chain, "fuzz-a");
+  if (!prefix.has_value()) {
+    std::fprintf(stderr, "GOLDEN PREFIX LOAD FAILED seed=%llu\n",
+                 static_cast<unsigned long long>(seed));
+    return false;
+  }
+  Doc a = std::move(*prefix);
   Doc b("fuzz-b");
-  std::vector<std::string> chain;
-  Lv checkpoint = 0;
+  b.MergeFrom(a);
+  Lv checkpoint = a.end_lv();
   const int rounds = 6 + static_cast<int>(rng.Below(6));
   for (int round = 0; round < rounds; ++round) {
     for (Doc* d : {&a, &b}) {
@@ -219,7 +235,6 @@ bool CheckSegmentCorruption(uint64_t seed) {
     if (rng.Chance(0.5) || round + 1 == rounds) {
       SaveOptions opts;
       opts.include_deleted_content = true;
-      opts.format_version = rng.Chance(0.3) ? 1 : 2;
       opts.compress_columns = rng.Chance(0.7);
       opts.cache_final_doc = round + 1 == rounds || rng.Chance(0.5);
       chain.push_back(a.SaveSegment(checkpoint, opts));
@@ -262,10 +277,10 @@ bool CheckSegmentCorruption(uint64_t seed) {
   return true;
 }
 
-// Frontier pairs through the diff cache vs the reference walk (with
-// interleaved Appends), and the run-carrying SliceAt cursor vs the plain
-// overload, on a copy of the trace's graph.
-bool CheckDiffCacheAndCursor(uint64_t seed, const Trace& t) {
+// Frontier pairs through the run-level Diff vs the event-level reference
+// walk (with interleaved Appends), and the run-carrying SliceAt cursor vs
+// the plain overload, on a copy of the trace's graph.
+bool CheckDiffAndCursor(uint64_t seed, const Trace& t) {
   Prng rng(seed ^ 0xd1ffc4c4e);
   Graph g = t.graph;  // Copy: the appends below must not affect the trace.
   AgentId extra = g.GetOrCreateAgent("fuzz-extra");
@@ -283,16 +298,10 @@ bool CheckDiffCacheAndCursor(uint64_t seed, const Trace& t) {
   for (int round = 0; round < 60; ++round) {
     const Frontier& a = pool[rng.Below(pool.size())];
     const Frontier& b = pool[rng.Below(pool.size())];
-    DiffResult cached = g.Diff(a, b);
-    DiffResult reference = g.DiffUncached(a, b);
-    if (cached.only_a != reference.only_a || cached.only_b != reference.only_b) {
-      std::fprintf(stderr, "DIFF CACHE MISMATCH seed=%llu round=%d\n",
-                   static_cast<unsigned long long>(seed), round);
-      return false;
-    }
     // Pin the run-level walk to the event-level oracle, byte for byte.
+    DiffResult run_level = g.Diff(a, b);
     DiffResult oracle = g.DiffReference(a, b);
-    if (reference.only_a != oracle.only_a || reference.only_b != oracle.only_b) {
+    if (run_level.only_a != oracle.only_a || run_level.only_b != oracle.only_b) {
       std::fprintf(stderr, "RUN-LEVEL DIFF MISMATCH seed=%llu round=%d\n",
                    static_cast<unsigned long long>(seed), round);
       return false;
@@ -476,7 +485,7 @@ bool CheckSessionPatchSequences(uint64_t seed) {
   for (int round = 0; round < 30; ++round) {
     const Frontier& a = pool[rng.Below(pool.size())];
     const Frontier& b = pool[rng.Below(pool.size())];
-    DiffResult fast = g.DiffUncached(a, b);
+    DiffResult fast = g.Diff(a, b);
     DiffResult oracle = g.DiffReference(a, b);
     if (fast.only_a != oracle.only_a || fast.only_b != oracle.only_b) {
       std::fprintf(stderr, "EXCHANGE DIFF MISMATCH seed=%llu round=%d\n",

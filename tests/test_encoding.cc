@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/doc.h"
 #include "core/walker.h"
+#include "golden/fixtures.h"
 #include "testing/random_trace.h"
 #include "trace/generate.h"
 
@@ -55,18 +57,6 @@ TEST(Columnar, RoundTripConcurrentWithUnicode) {
   t.AppendDelete(b, common, 1, 3, /*fwd=*/true);
   std::string bytes = EncodeTrace(t, SaveOptions{});
   auto decoded = DecodeTrace(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  ExpectTracesEquivalent(t, decoded->trace);
-}
-
-TEST(Columnar, RoundTripWithCompression) {
-  Trace t = GenerateNamedTrace("S2", 0.005);
-  SaveOptions opts;
-  opts.compress_content = true;
-  std::string compressed = EncodeTrace(t, opts);
-  std::string plain = EncodeTrace(t, SaveOptions{});
-  EXPECT_LT(compressed.size(), plain.size());
-  auto decoded = DecodeTrace(compressed);
   ASSERT_TRUE(decoded.has_value());
   ExpectTracesEquivalent(t, decoded->trace);
 }
@@ -161,9 +151,9 @@ TEST(Columnar, ReadCachedDocSkipsEverythingElse) {
   ASSERT_TRUE(text.has_value());
   EXPECT_EQ(*text, final_doc);
 
-  // Also with compressed content and omitted deleted content in the file.
+  // Also with compressed columns and omitted deleted content in the file.
   std::vector<LvSpan> surviving = ComputeSurvivingChars(t.graph, t.ops);
-  opts.compress_content = true;
+  opts.compress_columns = true;
   opts.include_deleted_content = false;
   bytes = EncodeTrace(t, opts, final_doc, &surviving);
   text = ReadCachedDoc(bytes);
@@ -180,10 +170,7 @@ TEST(Columnar, ReadCachedDocSkipsEverythingElse) {
 
 // --- Indexed (v2) container ------------------------------------------------
 
-TEST(ColumnarV2, FullFormatDifferentialAgainstV1) {
-  // The v2 container must decode to exactly the document the frozen v1
-  // layout holds, for every option mix — the format-version differential
-  // the compat contract rests on.
+TEST(ColumnarV2, RoundTripsEveryOptionMix) {
   for (uint64_t seed = 81; seed <= 86; ++seed) {
     testing::RandomTraceOptions ropts;
     ropts.seed = seed;
@@ -192,22 +179,17 @@ TEST(ColumnarV2, FullFormatDifferentialAgainstV1) {
     std::string final_doc = Replay(t);
     for (bool compress : {false, true}) {
       for (bool cache : {false, true}) {
-        SaveOptions v1;
-        v1.cache_final_doc = cache;
-        SaveOptions v2 = v1;
-        v2.format_version = 2;
-        v2.compress_columns = compress;
-        std::string v1_bytes = EncodeTrace(t, v1, cache ? final_doc : std::string_view{});
-        std::string v2_bytes = EncodeTrace(t, v2, cache ? final_doc : std::string_view{});
-        auto d1 = DecodeTrace(v1_bytes);
-        auto d2 = DecodeTrace(v2_bytes);
-        ASSERT_TRUE(d1.has_value()) << seed;
-        ASSERT_TRUE(d2.has_value()) << seed << " compress=" << compress;
-        ExpectTracesEquivalent(d1->trace, d2->trace);
-        EXPECT_EQ(d1->cached_doc, d2->cached_doc) << seed;
-        EXPECT_EQ(Replay(d2->trace), final_doc) << seed;
+        SaveOptions opts;
+        opts.compress_columns = compress;
+        opts.cache_final_doc = cache;
+        std::string bytes = EncodeTrace(t, opts, cache ? final_doc : std::string_view{});
+        auto decoded = DecodeTrace(bytes);
+        ASSERT_TRUE(decoded.has_value()) << seed << " compress=" << compress;
+        ExpectTracesEquivalent(t, decoded->trace);
+        EXPECT_EQ(decoded->cached_doc.has_value(), cache) << seed;
         if (cache) {
-          auto text = ReadCachedDoc(v2_bytes);
+          EXPECT_EQ(*decoded->cached_doc, final_doc) << seed;
+          auto text = ReadCachedDoc(bytes);
           ASSERT_TRUE(text.has_value()) << seed;
           EXPECT_EQ(*text, final_doc) << seed;
         }
@@ -218,27 +200,23 @@ TEST(ColumnarV2, FullFormatDifferentialAgainstV1) {
 
 TEST(ColumnarV2, CompressedColumnsShrinkFiles) {
   Trace t = GenerateNamedTrace("S2", 0.01);
-  SaveOptions raw;
-  raw.format_version = 2;
-  raw.compress_columns = false;
-  SaveOptions lz4 = raw;
-  lz4.compress_columns = true;
-  std::string raw_bytes = EncodeTrace(t, raw);
-  std::string lz4_bytes = EncodeTrace(t, lz4);
-  EXPECT_LT(lz4_bytes.size(), raw_bytes.size());
-  auto decoded = DecodeTrace(lz4_bytes);
+  SaveOptions packed;
+  packed.compress_columns = true;
+  std::string raw_bytes = EncodeTrace(t, SaveOptions{});
+  std::string packed_bytes = EncodeTrace(t, packed);
+  EXPECT_LT(packed_bytes.size(), raw_bytes.size());
+  auto decoded = DecodeTrace(packed_bytes);
   ASSERT_TRUE(decoded.has_value());
   ExpectTracesEquivalent(t, decoded->trace);
 }
 
 TEST(ColumnarV2, RoundTripEdgeCases) {
-  SaveOptions v2;
-  v2.format_version = 2;
+  SaveOptions opts;
 
   // Empty trace: every column is empty.
   {
     Trace t;
-    auto decoded = DecodeTrace(EncodeTrace(t, v2));
+    auto decoded = DecodeTrace(EncodeTrace(t, opts));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->trace.graph.size(), 0u);
   }
@@ -247,7 +225,7 @@ TEST(ColumnarV2, RoundTripEdgeCases) {
     Trace t;
     AgentId a = t.graph.GetOrCreateAgent("solo");
     t.AppendInsert(a, {}, 0, "x");
-    auto decoded = DecodeTrace(EncodeTrace(t, v2));
+    auto decoded = DecodeTrace(EncodeTrace(t, opts));
     ASSERT_TRUE(decoded.has_value());
     ExpectTracesEquivalent(t, decoded->trace);
   }
@@ -267,10 +245,10 @@ TEST(ColumnarV2, RoundTripEdgeCases) {
       Trace full;
       AgentId pa = full.graph.GetOrCreateAgent("d");
       full.AppendInsert(pa, {}, 0, "abcdef");
-      std::string head = EncodeSegment(full, 0, v2);
+      std::string head = EncodeSegment(full, 0, opts);
       ASSERT_TRUE(DecodeSegmentInto(prefix, head, &cached, &error)) << error;
     }
-    std::string tail = EncodeSegment(t, base, v2);
+    std::string tail = EncodeSegment(t, base, opts);
     ASSERT_TRUE(DecodeSegmentInto(prefix, tail, &cached, &error)) << error;
     ExpectTracesEquivalent(t, prefix);
   }
@@ -282,10 +260,9 @@ TEST(SegmentV2, PeekReportsDirectoryAndExtents) {
   AgentId b = t.graph.GetOrCreateAgent("bob");
   t.AppendInsert(a, {}, 0, "hello ");
   t.AppendInsert(b, t.graph.version(), 6, "world");
-  SaveOptions v2;
-  v2.format_version = 2;
-  v2.cache_final_doc = true;
-  std::string seg = EncodeSegment(t, 0, v2, "hello world");
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  std::string seg = EncodeSegment(t, 0, opts, "hello world");
   auto info = PeekSegment(seg);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->format_version, 2);
@@ -301,25 +278,18 @@ TEST(SegmentV2, PeekReportsDirectoryAndExtents) {
   EXPECT_FALSE(info->columns.empty());
   uint64_t stored = 0;
   for (const SegmentColumn& col : info->columns) {
-    EXPECT_LE(col.codec, 3u);  // raw, LZ4, LZ+Huffman, or static LZ+Huffman.
+    EXPECT_EQ(col.codec, 0u);  // compress_columns is off by default.
     stored += col.stored_size;
   }
   EXPECT_LE(stored, seg.size());
-
-  // v1 segments report an empty directory.
-  auto v1_info = PeekSegment(EncodeSegment(t, 0, SaveOptions{}));
-  ASSERT_TRUE(v1_info.has_value());
-  EXPECT_EQ(v1_info->format_version, 1);
-  EXPECT_TRUE(v1_info->columns.empty());
 }
 
 TEST(SegmentV2, ChecksumCatchesEveryPayloadByteFlip) {
   Trace t = GenerateNamedTrace("S1", 0.004);
-  SaveOptions v2;
-  v2.format_version = 2;
-  v2.cache_final_doc = true;
+  SaveOptions opts;
+  opts.cache_final_doc = true;
   std::string final_doc = Replay(t);
-  std::string seg = EncodeSegment(t, 0, v2, final_doc);
+  std::string seg = EncodeSegment(t, 0, opts, final_doc);
   auto info = PeekSegment(seg);
   ASSERT_TRUE(info.has_value());
   uint64_t payload = 0;
@@ -345,10 +315,9 @@ TEST(SegmentV2, ChecksumCatchesEveryPayloadByteFlip) {
 
 TEST(SegmentV2, RejectsTruncationAndBitFlipsWithoutCrashing) {
   Trace t = GenerateNamedTrace("S1", 0.003);
-  SaveOptions v2;
-  v2.format_version = 2;
-  v2.cache_final_doc = true;
-  std::string seg = EncodeSegment(t, 0, v2, Replay(t));
+  SaveOptions opts;
+  opts.cache_final_doc = true;
+  std::string seg = EncodeSegment(t, 0, opts, Replay(t));
 
   // Truncations never crash and always fail (v2 validates directory offsets
   // and exact payload extents).
@@ -375,13 +344,25 @@ TEST(SegmentV2, RejectsTruncationAndBitFlipsWithoutCrashing) {
   }
 }
 
+TEST(SegmentV2, RejectsIncompleteContentFlag) {
+  // Segments always carry deleted content; a cleared flag bit 0 is corrupt.
+  Trace t;
+  AgentId a = t.graph.GetOrCreateAgent("alice");
+  t.AppendInsert(a, {}, 0, "payload");
+  std::string seg = EncodeSegment(t, 0, SaveOptions{});
+  seg[5] = static_cast<char>(seg[5] & ~1);
+  Trace scratch;
+  std::optional<std::string> cached;
+  std::string error;
+  EXPECT_FALSE(DecodeSegmentInto(scratch, seg, &cached, &error));
+  EXPECT_EQ(error, "segment content incomplete");
+}
+
 TEST(SegmentV2, TrailingGarbageIsRejected) {
   Trace t;
   AgentId a = t.graph.GetOrCreateAgent("alice");
   t.AppendInsert(a, {}, 0, "payload");
-  SaveOptions v2;
-  v2.format_version = 2;
-  std::string seg = EncodeSegment(t, 0, v2);
+  std::string seg = EncodeSegment(t, 0, SaveOptions{});
   seg.push_back('\0');
   EXPECT_FALSE(PeekSegment(seg).has_value());
   Trace scratch;
@@ -389,6 +370,134 @@ TEST(SegmentV2, TrailingGarbageIsRejected) {
   std::string error;
   EXPECT_FALSE(DecodeSegmentInto(scratch, seg, &cached, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// --- Legacy formats: committed fixtures (tests/golden/README.md) ----------
+//
+// Nothing writes v1 containers, the v1 LZ4 content flag or codec-1 columns
+// any more; these fixtures, cut from golden::RunLegacyScript by an older
+// encoder, hold the decoders to accepting them.
+
+const Doc& LegacyDoc() {
+  static const Doc doc = golden::RunLegacyScript();
+  return doc;
+}
+
+constexpr uint8_t kV1CompressedFlag = 1 << 1;
+
+TEST(LegacyFormat, V1FilesDecodeToTheRegeneratedTrace) {
+  const Doc& doc = LegacyDoc();
+  for (const char* name : {"v1_plain.egwk", "v1_lz4.egwk", "v1_cached.egwk"}) {
+    SCOPED_TRACE(name);
+    std::string bytes = golden::ReadFixture(name);
+    ASSERT_EQ(bytes[4], 1);  // Version byte.
+    EXPECT_EQ((bytes[5] & kV1CompressedFlag) != 0, name == std::string("v1_lz4.egwk"));
+    auto decoded = DecodeTrace(bytes);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(decoded->content_complete);
+    ExpectTracesEquivalent(doc.trace(), decoded->trace);
+    EXPECT_EQ(Replay(decoded->trace), doc.Text());
+    auto loaded = Doc::Load(bytes, "reader");
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->Text(), doc.Text());
+  }
+  auto cached = DecodeTrace(golden::ReadFixture("v1_cached.egwk"));
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->cached_doc, doc.Text());
+  EXPECT_EQ(ReadCachedDoc(golden::ReadFixture("v1_cached.egwk")), doc.Text());
+  EXPECT_FALSE(ReadCachedDoc(golden::ReadFixture("v1_plain.egwk")).has_value());
+}
+
+TEST(LegacyFormat, V1FileWithDeletedContentOmitted) {
+  // Survival column + LZ4 content + cached doc, all in one v1 file.
+  const Doc& doc = LegacyDoc();
+  std::string bytes = golden::ReadFixture("v1_omitted.egwk");
+  ASSERT_EQ(bytes[4], 1);
+  ASSERT_NE(bytes[5] & kV1CompressedFlag, 0);
+  auto decoded = DecodeTrace(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_FALSE(decoded->content_complete);
+  EXPECT_EQ(decoded->trace.graph.size(), doc.end_lv());
+  for (Lv v = 0; v < doc.end_lv(); ++v) {
+    ASSERT_EQ(decoded->trace.graph.LvToRaw(v), doc.graph().LvToRaw(v)) << v;
+    ASSERT_EQ(decoded->trace.graph.ParentsOf(v), doc.graph().ParentsOf(v)) << v;
+  }
+  EXPECT_EQ(Replay(decoded->trace), doc.Text());
+  EXPECT_EQ(decoded->cached_doc, doc.Text());
+  EXPECT_EQ(ReadCachedDoc(bytes), doc.Text());
+}
+
+TEST(LegacyFormat, V1ChainDecodesLoadsAndResumes) {
+  const Doc& doc = LegacyDoc();
+  std::vector<std::string> chain = golden::LegacyChain();
+  ASSERT_EQ(chain.size(), 3u);
+  for (const std::string& seg : chain) {
+    auto info = PeekSegment(seg);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->format_version, 1);
+    EXPECT_TRUE(info->columns.empty());  // No directory in v1.
+    EXPECT_TRUE(info->agents.empty());
+  }
+  EXPECT_NE(chain[1][5] & kV1CompressedFlag, 0);
+  auto tail = PeekSegment(chain[2]);
+  EXPECT_TRUE(tail->has_cached_doc);
+  EXPECT_TRUE(tail->has_session_state);
+  EXPECT_NE(tail->anchor.lv, kInvalidLv);
+
+  Trace t;
+  std::optional<std::string> cached;
+  SegmentAnchor anchor;
+  std::string error;
+  for (const std::string& seg : chain) {
+    ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error, &anchor)) << error;
+  }
+  ExpectTracesEquivalent(doc.trace(), t);
+  EXPECT_EQ(cached, doc.Text());
+  EXPECT_EQ(anchor.lv, tail->anchor.lv);
+  EXPECT_FALSE(anchor.session_state.empty());
+
+  auto loaded = Doc::LoadChain(chain, "reader", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->Text(), doc.Text());
+  EXPECT_EQ(loaded->replayed_events(), 0u);
+  EXPECT_TRUE(loaded->TryResumeSession());
+  // The resumed document keeps merging correctly.
+  Doc other("carol");
+  other.MergeFrom(*loaded);
+  other.Insert(other.size() / 2, "carol was here");
+  loaded->Insert(0, "reader: ");
+  loaded->MergeFrom(other);
+  other.MergeFrom(*loaded);
+  EXPECT_EQ(loaded->Text(), other.Text());
+}
+
+TEST(LegacyFormat, V2SegmentWithLz4Columns) {
+  const Doc& doc = LegacyDoc();
+  std::string seg = golden::ReadFixture("v2_codec1.egws");
+  auto info = PeekSegment(seg);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->format_version, 2);
+  int lz4_columns = 0;
+  for (const SegmentColumn& col : info->columns) {
+    lz4_columns += col.codec == 1;
+  }
+  EXPECT_EQ(lz4_columns, 2);  // Ops and content.
+
+  Trace t;
+  std::optional<std::string> cached;
+  std::string error;
+  ASSERT_TRUE(DecodeSegmentInto(t, seg, &cached, &error)) << error;
+  ExpectTracesEquivalent(doc.trace(), t);
+  EXPECT_EQ(cached, doc.Text());
+
+  // Lazy load skips both LZ4 columns, then hydrates them on demand.
+  auto loaded = Doc::LoadChain({seg}, "reader", &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->lazy_segments_skipped(), 1u);
+  loaded->EnsureOpsFor(0);
+  EXPECT_EQ(loaded->ops_hydrations(), 1u);
+  EXPECT_EQ(loaded->ops().runs().run_count(), doc.ops().runs().run_count());
+  EXPECT_EQ(Replay(loaded->trace()), doc.Text());
 }
 
 TEST(SizeModels, OrderingMatchesPaperFigures) {

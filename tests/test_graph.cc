@@ -247,112 +247,9 @@ TEST(Graph, ReduceAndVersionContainsEdgeCases) {
   EXPECT_TRUE(g.VersionContains({7}, 2));
 }
 
-// --- Diff cache --------------------------------------------------------------
-
-TEST(GraphDiffCache, HitsRepeatedPairsAndSwappedPairs) {
-  Graph g;
-  AgentId a = g.GetOrCreateAgent("a");
-  AgentId b = g.GetOrCreateAgent("b");
-  g.Add(a, 0, 4, {});
-  g.Add(b, 0, 4, {1});
-  uint64_t misses0 = g.diff_cache_stats().misses;
-  DiffResult first = g.Diff({3}, {7});
-  EXPECT_EQ(g.diff_cache_stats().misses, misses0 + 1);
-  DiffResult again = g.Diff({3}, {7});
-  EXPECT_EQ(g.diff_cache_stats().hits, 1u);
-  EXPECT_EQ(again.only_a, first.only_a);
-  EXPECT_EQ(again.only_b, first.only_b);
-  // The reversed pair is served from the same entry, sides swapped.
-  DiffResult swapped = g.Diff({7}, {3});
-  EXPECT_EQ(g.diff_cache_stats().hits, 2u);
-  EXPECT_EQ(swapped.only_a, first.only_b);
-  EXPECT_EQ(swapped.only_b, first.only_a);
-}
-
-TEST(GraphDiffCache, AppendInvalidates) {
-  Graph g;
-  AgentId a = g.GetOrCreateAgent("a");
-  g.Add(a, 0, 4, {});
-  g.Diff({1}, {3});
-  g.Diff({1}, {3});
-  EXPECT_EQ(g.diff_cache_stats().hits, 1u);
-  uint64_t invalidations0 = g.diff_cache_stats().invalidations;
-  g.Add(a, 4, 2, {3});
-  EXPECT_EQ(g.diff_cache_stats().invalidations, invalidations0 + 1);
-  uint64_t misses0 = g.diff_cache_stats().misses;
-  g.Diff({1}, {3});  // Same pair, but the cache was cleared.
-  EXPECT_EQ(g.diff_cache_stats().misses, misses0 + 1);
-  EXPECT_EQ(g.diff_cache_stats().hits, 1u);
-}
-
-TEST(GraphDiffCache, OversizedKeysAndResultsAreNotCached) {
-  Graph g;
-  AgentId agents[6];
-  for (int i = 0; i < 6; ++i) {
-    agents[i] = g.GetOrCreateAgent(std::string(1, static_cast<char>('a' + i)));
-    g.Add(agents[i], 0, 2, {});  // Six concurrent roots.
-  }
-  // A frontier wider than kDiffCacheMaxFrontier is never cached.
-  Frontier wide{1, 3, 5, 7, 9, 11};
-  ASSERT_GT(wide.size(), Graph::kDiffCacheMaxFrontier);
-  g.Diff(wide, {1});
-  uint64_t hits0 = g.diff_cache_stats().hits;
-  g.Diff(wide, {1});
-  EXPECT_EQ(g.diff_cache_stats().hits, hits0);  // Second call missed too.
-}
-
 // --- Randomised differential tests -----------------------------------------
 
 class GraphRandomTest : public ::testing::TestWithParam<uint64_t> {};
-
-// The cached Diff against the uncached reference walk, over randomized DAGs
-// with interleaved Appends exercising invalidation: 7 seeds x 150 rounds of
-// randomly recurring pairs (recurrence makes the cache actually serve hits)
-// plus periodic graph growth.
-TEST_P(GraphRandomTest, CachedDiffMatchesUncachedUnderAppends) {
-  uint64_t seed = GetParam();
-  Graph g = RandomGraph(seed, 30);
-  Prng rng(seed ^ 0xcafe);
-  AgentId extra = g.GetOrCreateAgent("x");
-  uint64_t extra_seq = 0;
-  // A pool of frontiers to draw from so pairs recur and hit the cache.
-  std::vector<Frontier> pool;
-  auto refill_pool = [&]() {
-    pool.clear();
-    for (int i = 0; i < 6; ++i) {
-      Frontier f;
-      for (uint64_t j = 1 + rng.Below(3); j > 0; --j) {
-        FrontierInsert(f, rng.Below(g.size()));
-      }
-      pool.push_back(g.Reduce(f));
-    }
-    pool.push_back(Frontier{});            // Empty frontier edge case.
-    pool.push_back(g.version());           // The graph frontier itself.
-  };
-  refill_pool();
-  for (int round = 0; round < 150; ++round) {
-    const Frontier& fa = pool[rng.Below(pool.size())];
-    const Frontier& fb = pool[rng.Below(pool.size())];
-    DiffResult cached = g.Diff(fa, fb);
-    DiffResult reference = g.DiffUncached(fa, fb);
-    ASSERT_EQ(SpansToSet(cached.only_a), SpansToSet(reference.only_a))
-        << FrontierToString(fa) << " vs " << FrontierToString(fb);
-    ASSERT_EQ(SpansToSet(cached.only_b), SpansToSet(reference.only_b))
-        << FrontierToString(fa) << " vs " << FrontierToString(fb);
-    if (round % 10 == 9) {
-      // Grow the graph mid-stream: every cached entry must be dropped (the
-      // differential above would catch a stale survivor on later rounds).
-      Frontier parents = g.Reduce(Frontier{rng.Below(g.size())});
-      uint64_t len = 1 + rng.Below(4);
-      g.Add(extra, extra_seq, len, parents);
-      extra_seq += len;
-      refill_pool();
-    }
-  }
-  const DiffCacheStats& stats = g.diff_cache_stats();
-  EXPECT_GT(stats.hits, 0u);  // The pool recurrence actually exercised hits.
-  EXPECT_GT(stats.invalidations, 0u);
-}
 
 TEST_P(GraphRandomTest, VersionContainsMatchesBruteForce) {
   Graph g = RandomGraph(GetParam(), 40);
@@ -536,7 +433,7 @@ TEST_P(GraphRandomTest, RunLevelDiffMatchesReferenceByteForByte) {
     if (rng.Chance(0.1)) {
       fb = g.version();
     }
-    DiffResult run_level = g.DiffUncached(fa, fb);
+    DiffResult run_level = g.Diff(fa, fb);
     DiffResult reference = g.DiffReference(fa, fb);
     ASSERT_EQ(run_level.only_a, reference.only_a)
         << FrontierToString(fa) << " vs " << FrontierToString(fb);
@@ -612,7 +509,7 @@ TEST_P(GraphRandomTest, ReplicaDiffMatchesReferenceUnderWatermarkPruning) {
   for (int round = 0; round < 150; ++round) {
     const Frontier& fa = pool[rng.Below(pool.size())];
     const Frontier& fb = pool[rng.Below(pool.size())];
-    DiffResult run_level = g.DiffUncached(fa, fb);
+    DiffResult run_level = g.Diff(fa, fb);
     DiffResult reference = g.DiffReference(fa, fb);
     ASSERT_EQ(run_level.only_a, reference.only_a)
         << FrontierToString(fa) << " vs " << FrontierToString(fb);
@@ -641,7 +538,7 @@ TEST(Graph, AgentLinearityClearsOnConcurrentSelfEvents) {
   // Queries stay exact with pruning disabled for a.
   EXPECT_FALSE(g.VersionContains({5}, 0));
   EXPECT_TRUE(g.VersionContains({5}, 3));
-  DiffResult d = g.DiffUncached({1}, {5});
+  DiffResult d = g.Diff({1}, {5});
   DiffResult ref = g.DiffReference({1}, {5});
   EXPECT_EQ(d.only_a, ref.only_a);
   EXPECT_EQ(d.only_b, ref.only_b);
@@ -664,12 +561,12 @@ TEST(Graph, RunBoundaryEdgeCases) {
   EXPECT_EQ(g.Reduce({3, 8}), (Frontier{8}));  // Dominated via mid-run parent.
   EXPECT_EQ(g.Reduce({4, 8}), (Frontier{4, 8}));  // Concurrent pair survives.
   // Empty diff between identical mid-run frontiers terminates immediately.
-  DiffResult d = g.DiffUncached({5, 9}, {5, 9});
+  DiffResult d = g.Diff({5, 9}, {5, 9});
   EXPECT_TRUE(d.only_a.empty());
   EXPECT_TRUE(d.only_b.empty());
   // A diff whose answer splits runs at the fork must coalesce exactly like
   // the reference.
-  d = g.DiffUncached({11}, {6});
+  d = g.Diff({11}, {6});
   DiffResult ref = g.DiffReference({11}, {6});
   EXPECT_EQ(d.only_a, ref.only_a);
   EXPECT_EQ(d.only_b, ref.only_b);
@@ -760,7 +657,7 @@ TEST(GraphDiffStats, WideSharedFrontierSpansOnlyTheDivergentRun) {
   b.erase(b.begin());            // Drop writer 0's final tip...
   FrontierInsert(b, prev_tip[0]);  // ...and rewind it one round.
   const DiffStats before = g.diff_stats();
-  DiffResult d = g.DiffUncached(a, b);
+  DiffResult d = g.Diff(a, b);
   const DiffStats& after = g.diff_stats();
   EXPECT_EQ(after.calls, before.calls + 1);
   // The answer: exactly writer 0's final run.

@@ -7,9 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/graph.h"
-#include "util/prng.h"
-
 namespace egwalker {
 namespace {
 
@@ -50,30 +47,6 @@ TEST(Memtrack, CountsManySmallAllocations) {
   EXPECT_GE(memtrack::CurrentBytes(), bytes_before + 1000 * sizeof(int));
   keep.clear();
   EXPECT_LE(memtrack::CurrentBytes(), bytes_before + 65536);
-}
-
-TEST(Memtrack, DiffCacheRetentionIsCappedAndVisible) {
-  // The fig10 contract (see Graph::Diff and util/pool.h): the diff cache's
-  // retained spans are ordinary tracked heap, and heavy Diff traffic must
-  // not grow a Graph's steady-state footprint past the documented caps
-  // (slot count x frontier cap + span budget, comfortably under ~4 KiB of
-  // payload after allocator rounding).
-  Graph g;
-  AgentId a = g.GetOrCreateAgent("a");
-  AgentId b = g.GetOrCreateAgent("b");
-  g.Add(a, 0, 500, {});
-  g.Add(b, 0, 500, {249});
-  size_t before = memtrack::CurrentBytes();
-  Prng rng(7);
-  for (int i = 0; i < 2000; ++i) {
-    Frontier fa{rng.Below(g.size())};
-    Frontier fb{rng.Below(g.size())};
-    DiffResult d = g.Diff(fa, fb);
-    (void)d;
-  }
-  size_t retained = memtrack::CurrentBytes() - before;
-  EXPECT_LE(retained, 8192u) << "diff cache retained " << retained << " bytes";
-  EXPECT_GT(g.diff_cache_stats().misses, 0u);
 }
 
 TEST(Memtrack, AlignedAllocationsTracked) {

@@ -311,7 +311,6 @@ void CheckStatsContract() {
 TEST(StatsContract, BrokerStats) { CheckStatsContract<Broker::Stats>(); }
 TEST(StatsContract, DocRegistryStats) { CheckStatsContract<DocRegistry::Stats>(); }
 TEST(StatsContract, DiffStats) { CheckStatsContract<DiffStats>(); }
-TEST(StatsContract, DiffCacheStats) { CheckStatsContract<DiffCacheStats>(); }
 TEST(StatsContract, NetSimStats) { CheckStatsContract<NetSim::Stats>(); }
 TEST(StatsContract, CollabClientStats) { CheckStatsContract<CollabClient::Stats>(); }
 TEST(StatsContract, YataStats) { CheckStatsContract<YataStats>(); }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "encoding/columnar.h"
+#include "golden/fixtures.h"
 #include "server/broker.h"
 #include "server/client.h"
 #include "server/netsim.h"
@@ -406,35 +407,36 @@ TEST(Registry, TryOpenSurvivesCorruptChainAndRecoversAfterRepair) {
 }
 
 TEST(Registry, MixedV1V2ChainLoadsAndCompactsToV2) {
-  // A chain whose prefix was written by an old server in the frozen v1
-  // layout must load seamlessly under the current registry, take v2
-  // segments on new flushes, and compact down to a single v2 segment.
+  // A chain whose prefix was written by an old server in the v1 layout
+  // (the committed golden chain, LZ4 content and session state included)
+  // must load seamlessly under the current registry, take v2 segments on
+  // new flushes, and compact down to a single v2 segment.
   MemStorage storage;
-  Doc writer("!server");
-  writer.Insert(0, "legacy prefix. ");
-  SaveOptions v1;
-  v1.cache_final_doc = true;  // format_version stays 1.
-  storage.Append("doc", writer.SaveSegment(0, v1));
-  Lv checkpoint = writer.end_lv();
-  writer.Insert(writer.size(), "still legacy. ");
-  storage.Append("doc", writer.SaveSegment(checkpoint, v1));
+  for (const std::string& seg : golden::LegacyChain()) {
+    storage.Append("doc", seg);
+  }
+  const Doc writer = golden::RunLegacyScript();
 
   DocRegistry::Config config;
-  config.compact_above_segments = 4;
+  config.compact_above_segments = 6;
   DocRegistry registry(storage, config);
   Doc& doc = registry.Open("doc");
   EXPECT_EQ(doc.Text(), writer.Text());
   // v1 segments carry no column directory: nothing can be lazily skipped.
   EXPECT_EQ(registry.stats().lazy_segments_skipped, 0u);
+  // The legacy tail's serialized walker session resumes.
+  EXPECT_EQ(registry.stats().session_resumes, 1u);
 
-  doc.Insert(doc.size(), "modern suffix. ");
-  registry.Flush("doc");
+  for (const char* suffix : {"modern suffix. ", "and another. "}) {
+    doc.Insert(doc.size(), suffix);
+    registry.Flush("doc");
+  }
   {
     const std::vector<std::string>* chain = storage.Chain("doc");
     ASSERT_NE(chain, nullptr);
-    ASSERT_EQ(chain->size(), 3u);
+    ASSERT_EQ(chain->size(), 5u);
     auto head = PeekSegment((*chain)[0]);
-    auto tail = PeekSegment((*chain)[2]);
+    auto tail = PeekSegment((*chain)[4]);
     ASSERT_TRUE(head.has_value() && tail.has_value());
     EXPECT_EQ(head->format_version, 1u);
     EXPECT_EQ(tail->format_version, 2u);

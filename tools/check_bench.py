@@ -272,20 +272,26 @@ def check_sizes(name, baseline_full, measured_full, threshold):
 
 
 def check_size_ratio(name, measured_full, min_ratio):
-    """Gates the aggregate v2 raw/compressed ratio of one filesize bench.
+    """Gates the aggregate raw/compressed ratio of one filesize bench.
 
     The compressed store must stay at least --size-min-ratio times smaller
-    than the uncompressed v2 encoding, summed across the measured traces."""
-    raw = sum(float(row["bytes"]) for (_, alg), row in measured_full.items()
-              if alg == "v2 raw" and "bytes" in row)
+    than the same file uncompressed, summed across the measured traces. The
+    uncompressed twin of the "v2 compressed" rows is "v2 raw" in fig12 and
+    the "event graph + cached doc" row itself in fig11."""
+    raw = 0.0
+    for raw_alg in ("v2 raw", "event graph + cached doc"):
+        raw = sum(float(row["bytes"]) for (_, alg), row in measured_full.items()
+                  if alg == raw_alg and "bytes" in row)
+        if raw > 0:
+            break
     comp = sum(float(row["bytes"]) for (_, alg), row in measured_full.items()
                if alg == "v2 compressed" and "bytes" in row)
     if raw <= 0 or comp <= 0:
-        print(f"[{name}] no v2 raw/compressed rows - skipping compression-ratio gate")
+        print(f"[{name}] no raw/compressed rows - skipping compression-ratio gate")
         return 0
     ratio = raw / comp
     flag = "ok" if ratio >= min_ratio else "FAIL"
-    print(f"[{name}] {flag:4} aggregate v2 compression ratio: "
+    print(f"[{name}] {flag:4} aggregate compression ratio: "
           f"{raw:.0f} B raw / {comp:.0f} B compressed = {ratio:.3f}x "
           f"(min {min_ratio:.1f}x)")
     return 0 if ratio >= min_ratio else 1
@@ -377,7 +383,7 @@ def main():
                          "(0.10 = 10%%; sizes are deterministic per scale, "
                          "so rows are compared directly, no normalisation)")
     ap.add_argument("--size-min-ratio", type=float, default=2.0,
-                    help="minimum aggregate v2 raw/compressed size ratio "
+                    help="minimum aggregate raw/compressed size ratio "
                          "per filesize bench")
     args = ap.parse_args()
 
