@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): the hot paths under the
 // algorithms — rope edits, internal-state tree operations, graph version
-// diffs, varint coding, and the LZ4 codec.
+// diffs, the patch encoder, varint coding, and the lzhuf codec.
 //
 // Accepts the shared bench flags alongside google-benchmark's own:
 //   --quick        short per-benchmark time budget (smoke testing)
@@ -19,6 +19,7 @@
 #include "rope/utf8.h"
 #include "sync/patch.h"
 #include "trace/generate.h"
+#include "util/memtrack.h"
 #include "util/prng.h"
 #include "util/varint.h"
 
@@ -310,6 +311,53 @@ void BM_MakePatchColdVsWatermarked(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(scanned));
 }
 BENCHMARK(BM_MakePatchColdVsWatermarked)->Arg(0)->Arg(1);
+
+void BM_MakePatchWideFrontier(benchmark::State& state) {
+  // The fan-out encode of an all-writers document. Each round 32 writers
+  // catch up from a relay and type one run each, concurrently, and the
+  // relay merges them, so every run after the first round has the previous
+  // round's 32 tips as parents. The receiver lacks the last round: 32
+  // chunks of ~32 parents each. allocs_per_call is exact and
+  // machine-independent (check_bench gates it against the baseline); the
+  // encoder's contract keeps it flat in parents_per_chunk.
+  constexpr int kWriters = 32;
+  constexpr int kRounds = 4;
+  Doc relay("relay");
+  relay.Insert(0, "shared base. ");
+  std::vector<Doc> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back("writer-" + std::to_string(w));
+  }
+  VersionSummary before_last_round;
+  for (int round = 0; round < kRounds; ++round) {
+    before_last_round = SummarizeDoc(relay);
+    for (Doc& w : writers) {
+      ApplyPatch(w, MakePatch(relay, SummarizeDoc(w)));
+      w.Insert(w.size() / 2, "typed by " + w.agent_name() + ". ");
+    }
+    for (Doc& w : writers) {
+      ApplyPatch(relay, MakePatch(w, SummarizeDoc(relay)));
+    }
+  }
+  const std::string sample = MakePatch(relay, before_last_round);
+  const auto batch = DecodePatch(sample);
+  size_t parents = 0;
+  for (const RemoteBatch::Run& run : batch->runs) {
+    parents += run.parents_end - run.parents_begin;
+  }
+  const size_t allocs_before = memtrack::TotalAllocations();
+  for (auto _ : state) {
+    std::string patch = MakePatch(relay, before_last_round);
+    benchmark::DoNotOptimize(patch.data());
+  }
+  state.counters["allocs_per_call"] = benchmark::Counter(
+      static_cast<double>(memtrack::TotalAllocations() - allocs_before) /
+      static_cast<double>(state.iterations()));
+  state.counters["parents_per_chunk"] = benchmark::Counter(
+      static_cast<double>(parents) / static_cast<double>(batch->runs.size()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch->runs.size()));
+}
+BENCHMARK(BM_MakePatchWideFrontier);
 
 void BM_VarintEncodeDecode(benchmark::State& state) {
   Prng rng(3);

@@ -1,6 +1,7 @@
 #include "core/doc.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
 #include "rope/utf8.h"
@@ -116,133 +117,213 @@ Lv Doc::FindReplayBase(const std::vector<Lv>& new_chunk_starts) {
 }
 
 uint64_t Doc::MergeFrom(const Doc& other) {
-  // Express the other replica's whole history as remote chunks; the apply
+  // Express the other replica's whole history as a remote batch; the apply
   // path skips everything already known. (Real deployments exchange deltas
-  // via src/sync instead of whole histories.)
+  // via src/sync instead of whole histories.) The other graph's agent ids
+  // serve as the batch's agent indexes.
   other.EnsureOpsFor(0);  // The chunk scan reads the other's whole op log.
   const Graph& og = other.trace_.graph;
   const OpLog& oops = other.trace_.ops;
-  std::vector<RemoteChunk> chunks;
+  RemoteBatch batch;
+  batch.agents.reserve(og.agent_count());
+  for (size_t a = 0; a < og.agent_count(); ++a) {
+    batch.agents.push_back(og.AgentName(static_cast<AgentId>(a)));
+  }
   Lv olv = 0;
   ChunkScanner scan(og, oops);
   while (olv < og.size()) {
     ChunkScanner::Chunk ck = scan.At(olv);
     const AgentSpan& as = *ck.agent;
 
-    RemoteChunk chunk;
-    chunk.agent = og.AgentName(as.agent);
-    chunk.seq_start = as.seq_start + (olv - as.span.start);
-    chunk.count = ck.end - olv;
+    RemoteBatch::Run run;
+    run.agent = as.agent;
+    run.seq_start = as.seq_start + (olv - as.span.start);
+    run.count = ck.end - olv;
+    run.parents_begin = batch.parents.size();
     for (Lv p : og.ParentsOf(olv)) {
-      chunk.parents.push_back(og.LvToRaw(p));
+      const AgentSpan& ps = og.agent_spans().FindChecked(p);
+      batch.parents.push_back({ps.agent, ps.seq_start + (p - ps.span.start)});
     }
-    chunk.kind = ck.slice.kind;
-    chunk.pos = ck.slice.pos_start;
-    chunk.fwd = ck.slice.fwd;
-    chunk.text = std::string(ck.slice.text);
-    chunks.push_back(std::move(chunk));
+    run.parents_end = batch.parents.size();
+    run.kind = ck.slice.kind;
+    run.pos = ck.slice.pos_start;
+    run.fwd = ck.slice.fwd;
+    run.text = ck.slice.text;
+    batch.runs.push_back(run);
     olv = ck.end;
   }
-  auto merged = ApplyRemoteChunks(chunks);
+  auto merged = ApplyRemoteBatch(batch);
   EGW_CHECK(merged.has_value());  // A full history is always causally closed.
   return *merged;
 }
 
 std::optional<uint64_t> Doc::ApplyRemoteChunks(const std::vector<RemoteChunk>& chunks,
                                                std::string* error) {
+  RemoteBatch batch;
+  std::unordered_map<std::string_view, uint32_t> index;
+  auto intern = [&](std::string_view name) {
+    auto [it, inserted] = index.try_emplace(name, static_cast<uint32_t>(batch.agents.size()));
+    if (inserted) {
+      batch.agents.push_back(name);
+    }
+    return it->second;
+  };
+  batch.runs.reserve(chunks.size());
+  for (const RemoteChunk& chunk : chunks) {
+    RemoteBatch::Run run;
+    run.agent = intern(chunk.agent);
+    run.seq_start = chunk.seq_start;
+    run.count = chunk.count;
+    run.chain_previous = chunk.chain_previous;
+    run.parents_begin = batch.parents.size();
+    for (const RawVersion& rv : chunk.parents) {
+      batch.parents.push_back({intern(rv.agent), rv.seq});
+    }
+    run.parents_end = batch.parents.size();
+    run.kind = chunk.kind;
+    run.pos = chunk.pos;
+    run.fwd = chunk.fwd;
+    run.text = chunk.text;
+    batch.runs.push_back(run);
+  }
+  return ApplyRemoteBatch(batch, error);
+}
+
+std::optional<uint64_t> Doc::ApplyRemoteBatch(const RemoteBatch& batch, std::string* error) {
   auto fail = [&](const char* msg) -> std::optional<uint64_t> {
     if (error != nullptr) {
       *error = msg;
     }
     return std::nullopt;
   };
+  Graph& graph = trace_.graph;
+  const std::vector<RemoteBatch::Run>& runs = batch.runs;
 
-  // --- Validation pass: nothing is appended unless every chunk resolves. ---
-  // Tracks the seq ranges earlier chunks will add, per agent.
-  std::unordered_map<std::string, std::vector<std::pair<uint64_t, uint64_t>>> pending;
-  auto resolvable = [&](const RawVersion& rv) {
-    if (trace_.graph.RawToLv(rv.agent, rv.seq) != kInvalidLv) {
+  // Each batch agent resolved once: its local id (kUnknownAgent until the
+  // append pass creates it) and the newest of the seq ranges earlier runs
+  // of the batch will add for it (a list threaded through `ranges`).
+  constexpr AgentId kUnknownAgent = UINT32_MAX;
+  constexpr uint32_t kNoRange = UINT32_MAX;
+  struct AgentSlot {
+    AgentId local;
+    uint32_t newest_range;
+  };
+  struct SeqRange {
+    uint64_t start;
+    uint64_t end;
+    uint32_t older;
+  };
+  std::vector<AgentSlot> slots;
+  slots.reserve(batch.agents.size());
+  for (std::string_view name : batch.agents) {
+    slots.push_back({graph.FindAgent(name).value_or(kUnknownAgent), kNoRange});
+  }
+
+  // --- Validation pass: nothing is created or appended unless every run
+  // resolves. ---
+  std::vector<SeqRange> ranges;
+  ranges.reserve(runs.size());
+  auto resolvable = [&](const RemoteBatch::Parent& p) {
+    const AgentSlot& slot = slots[p.agent];
+    if (slot.local != kUnknownAgent && graph.RawToLv(slot.local, p.seq) != kInvalidLv) {
       return true;
     }
-    auto it = pending.find(rv.agent);
-    if (it == pending.end()) {
-      return false;
-    }
-    for (const auto& [start, end] : it->second) {
-      if (rv.seq >= start && rv.seq < end) {
+    for (uint32_t r = slot.newest_range; r != kNoRange; r = ranges[r].older) {
+      if (p.seq >= ranges[r].start && p.seq < ranges[r].end) {
         return true;
       }
     }
     return false;
   };
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const RemoteChunk& chunk = chunks[i];
-    if (chunk.count == 0) {
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const RemoteBatch::Run& run = runs[i];
+    if (run.agent >= slots.size() || run.parents_begin > run.parents_end ||
+        run.parents_end > batch.parents.size()) {
+      return fail("run references outside its batch");
+    }
+    if (run.count == 0) {
       return fail("empty chunk");
     }
-    if (chunk.kind == OpKind::kInsert && Utf8CountChars(chunk.text) != chunk.count) {
+    if (run.kind == OpKind::kInsert && Utf8CountChars(run.text) != run.count) {
       return fail("insert chunk text/count mismatch");
     }
-    if (chunk.kind == OpKind::kDelete && !chunk.fwd && chunk.pos + 1 < chunk.count) {
+    if (run.kind == OpKind::kDelete && !run.fwd && run.pos + 1 < run.count) {
       return fail("backspace chunk underflows position 0");
     }
-    if (chunk.chain_previous) {
+    if (run.chain_previous) {
       if (i == 0) {
         return fail("first chunk cannot chain");
       }
     } else {
-      for (const RawVersion& rv : chunk.parents) {
-        if (!resolvable(rv)) {
+      for (size_t k = run.parents_begin; k < run.parents_end; ++k) {
+        const RemoteBatch::Parent& p = batch.parents[k];
+        if (p.agent >= slots.size()) {
+          return fail("run references outside its batch");
+        }
+        if (!resolvable(p)) {
           return fail("chunk references an unknown parent event");
         }
       }
     }
-    pending[chunk.agent].emplace_back(chunk.seq_start, chunk.seq_start + chunk.count);
+    AgentSlot& slot = slots[run.agent];
+    ranges.push_back({run.seq_start, run.seq_start + run.count, slot.newest_range});
+    slot.newest_range = static_cast<uint32_t>(ranges.size() - 1);
   }
 
   // --- Append pass. ---
   std::vector<Lv> new_chunk_starts;  // One per appended run, for domination checks.
+  new_chunk_starts.reserve(runs.size());
+  Frontier lparents;
   Lv first_new = kInvalidLv;
   uint64_t merged = 0;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const RemoteChunk& chunk = chunks[i];
-    uint64_t done = 0;  // Events of this chunk handled so far.
-    while (done < chunk.count) {
-      uint64_t seq = chunk.seq_start + done;
-      uint64_t known = trace_.graph.KnownRunLen(chunk.agent, seq);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const RemoteBatch::Run& run = runs[i];
+    AgentSlot& slot = slots[run.agent];
+    uint64_t done = 0;  // Events of this run handled so far.
+    while (done < run.count) {
+      uint64_t seq = run.seq_start + done;
+      uint64_t known = slot.local == kUnknownAgent ? 0 : graph.KnownRunLen(slot.local, seq);
       if (known > 0) {
-        done += std::min<uint64_t>(known, chunk.count - done);
+        done += std::min<uint64_t>(known, run.count - done);
         continue;
       }
-      // Parents: explicit for the chunk's first event, otherwise the chain
-      // predecessor within the chunk (or the previous chunk's tail).
-      Frontier lparents;
+      // Parents: explicit for the run's first event, otherwise the chain
+      // predecessor within the run (or the previous run's tail).
+      lparents.clear();
       if (done > 0) {
-        Lv lp = trace_.graph.RawToLv(chunk.agent, seq - 1);
+        Lv lp = graph.RawToLv(slot.local, seq - 1);
         EGW_CHECK(lp != kInvalidLv);
-        FrontierInsert(lparents, lp);
-      } else if (chunk.chain_previous) {
-        const RemoteChunk& prev = chunks[i - 1];
-        Lv lp = trace_.graph.RawToLv(prev.agent, prev.seq_start + prev.count - 1);
+        lparents.push_back(lp);
+      } else if (run.chain_previous) {
+        const RemoteBatch::Run& prev = runs[i - 1];
+        Lv lp = graph.RawToLv(slots[prev.agent].local, prev.seq_start + prev.count - 1);
         EGW_CHECK(lp != kInvalidLv);
-        FrontierInsert(lparents, lp);
+        lparents.push_back(lp);
       } else {
-        for (const RawVersion& rv : chunk.parents) {
-          Lv lp = trace_.graph.RawToLv(rv.agent, rv.seq);
+        lparents.reserve(run.parents_end - run.parents_begin);
+        for (size_t k = run.parents_begin; k < run.parents_end; ++k) {
+          const RemoteBatch::Parent& p = batch.parents[k];
+          AgentId agent = slots[p.agent].local;
+          EGW_CHECK(agent != kUnknownAgent);
+          Lv lp = graph.RawToLv(agent, p.seq);
           EGW_CHECK(lp != kInvalidLv);
           FrontierInsert(lparents, lp);
         }
-        lparents = trace_.graph.Reduce(lparents);
+        if (lparents.size() > 1) {
+          lparents = graph.Reduce(lparents);
+        }
       }
-      uint64_t take = chunk.count - done;
-      AgentId local_agent = trace_.graph.GetOrCreateAgent(chunk.agent);
-      Lv lstart = trace_.graph.Add(local_agent, seq, take, lparents);
-      if (chunk.kind == OpKind::kInsert) {
-        size_t from = Utf8ByteOfChar(chunk.text, done);
-        trace_.ops.PushInsert(lstart, chunk.pos + done, std::string_view(chunk.text).substr(from));
+      if (slot.local == kUnknownAgent) {
+        slot.local = graph.GetOrCreateAgent(batch.agents[run.agent]);
+      }
+      uint64_t take = run.count - done;
+      Lv lstart = graph.Add(slot.local, seq, take, lparents);
+      if (run.kind == OpKind::kInsert) {
+        size_t from = Utf8ByteOfChar(run.text, done);
+        trace_.ops.PushInsert(lstart, run.pos + done, run.text.substr(from));
       } else {
-        uint64_t pos = chunk.fwd ? chunk.pos : chunk.pos - done;
-        trace_.ops.PushDelete(lstart, take, pos, chunk.fwd);
+        uint64_t pos = run.fwd ? run.pos : run.pos - done;
+        trace_.ops.PushDelete(lstart, take, pos, run.fwd);
       }
       new_chunk_starts.push_back(lstart);
       if (first_new == kInvalidLv) {

@@ -40,7 +40,7 @@
 namespace egwalker {
 
 // A run of events received from a remote replica, identified by interchange
-// ids. Used by the sync layer (src/sync) and by Doc::MergeFrom.
+// ids: the self-contained form for hand-built input (Doc::ApplyRemoteChunks).
 struct RemoteChunk {
   std::string agent;
   uint64_t seq_start = 0;
@@ -54,6 +54,38 @@ struct RemoteChunk {
   uint64_t pos = 0;
   bool fwd = true;
   std::string text;
+};
+
+// Remote event runs with their agents interned: the shape a sync patch
+// carries on the wire (sync/patch.h decodes straight into it) and the form
+// Doc::ApplyRemoteBatch consumes. `agents` lists each agent name once; runs
+// and parents refer to names by index, so applying a batch looks each name
+// up in the local graph once, however many runs and parents cite it. Names
+// and text are views: the bytes behind them must outlive the batch.
+struct RemoteBatch {
+  struct Parent {
+    uint32_t agent = 0;  // Index into `agents`.
+    uint64_t seq = 0;
+  };
+  struct Run {
+    uint32_t agent = 0;  // Index into `agents`.
+    uint64_t seq_start = 0;
+    uint64_t count = 0;
+    // Parents of the first event: parents[parents_begin, parents_end), or,
+    // with chain_previous set, the previous run's last event (the range is
+    // then ignored).
+    bool chain_previous = false;
+    size_t parents_begin = 0;
+    size_t parents_end = 0;
+    // The operation run (see OpRun semantics).
+    OpKind kind = OpKind::kInsert;
+    uint64_t pos = 0;
+    bool fwd = true;
+    std::string_view text;
+  };
+  std::vector<std::string_view> agents;
+  std::vector<Parent> parents;
+  std::vector<Run> runs;
 };
 
 // Knobs for Doc::LoadChain (defined out-of-class so the declaration's
@@ -115,6 +147,13 @@ class Doc {
   // is left unchanged in that case.
   std::optional<uint64_t> ApplyRemoteChunks(const std::vector<RemoteChunk>& chunks,
                                             std::string* error = nullptr);
+
+  // ApplyRemoteChunks on the interned form (same contract): every agent
+  // name in the batch is resolved against the local graph once, and the
+  // validation and append passes work on ids. ApplyRemoteChunks interns its
+  // chunks into a batch and lands here; sync's ApplyPatch decodes into one.
+  std::optional<uint64_t> ApplyRemoteBatch(const RemoteBatch& batch,
+                                           std::string* error = nullptr);
 
   // --- Editor integration ---------------------------------------------------
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <queue>
-#include <unordered_set>
 
 #include "util/assert.h"
 
@@ -81,12 +80,21 @@ RawVersion Graph::LvToRaw(Lv v) const {
   return RawVersion{agent_names_[s.agent], s.seq_start + (v - s.span.start)};
 }
 
-Lv Graph::RawToLv(std::string_view agent, uint64_t seq) const {
-  auto it = agent_ids_.find(agent);
+std::optional<AgentId> Graph::FindAgent(std::string_view name) const {
+  auto it = agent_ids_.find(name);
   if (it == agent_ids_.end()) {
-    return kInvalidLv;
+    return std::nullopt;
   }
-  const auto& runs = agent_seq_to_lv_[it->second];
+  return it->second;
+}
+
+Lv Graph::RawToLv(std::string_view agent, uint64_t seq) const {
+  std::optional<AgentId> id = FindAgent(agent);
+  return id ? RawToLv(*id, seq) : kInvalidLv;
+}
+
+Lv Graph::RawToLv(AgentId agent, uint64_t seq) const {
+  const auto& runs = agent_seq_to_lv_[agent];
   size_t idx = runs.FindIndex(seq);
   if (idx == RleVec<AgentSeqRun>::npos) {
     return kInvalidLv;
@@ -96,11 +104,12 @@ Lv Graph::RawToLv(std::string_view agent, uint64_t seq) const {
 }
 
 uint64_t Graph::KnownRunLen(std::string_view agent, uint64_t seq) const {
-  auto it = agent_ids_.find(agent);
-  if (it == agent_ids_.end()) {
-    return 0;
-  }
-  const auto& runs = agent_seq_to_lv_[it->second];
+  std::optional<AgentId> id = FindAgent(agent);
+  return id ? KnownRunLen(*id, seq) : 0;
+}
+
+uint64_t Graph::KnownRunLen(AgentId agent, uint64_t seq) const {
+  const auto& runs = agent_seq_to_lv_[agent];
   size_t idx = runs.FindIndex(seq);
   if (idx == RleVec<AgentSeqRun>::npos) {
     return 0;
@@ -282,7 +291,8 @@ bool Graph::VersionContains(const Frontier& frontier, Lv v) const {
   // query without descending to v itself.
   const AgentSpan& sv = agent_assignment_.FindChecked(v);
   bool linear_v = agent_linear_[sv.agent] != 0;
-  std::priority_queue<Lv> queue;
+  std::vector<Lv>& queue = contains_heap_;  // A max-heap of LVs to visit.
+  queue.clear();
   for (Lv f : frontier) {
     if (f == v) {
       return true;
@@ -296,17 +306,20 @@ bool Graph::VersionContains(const Frontier& frontier, Lv v) const {
         return true;  // Later event of v's own (linear) agent.
       }
     }
-    queue.push(f);
+    queue.push_back(f);
+    std::push_heap(queue.begin(), queue.end());
   }
-  std::unordered_set<uint64_t> visited_entries;
+  ScratchMap<uint8_t>& visited_entries = contains_visited_;
+  visited_entries.Clear();
   while (!queue.empty()) {
-    Lv top = queue.top();
-    queue.pop();
+    std::pop_heap(queue.begin(), queue.end());
+    Lv top = queue.back();
+    queue.pop_back();
     const GraphEntry& e = entries_.FindCheckedHinted(top, &entry_col_hint_);
     if (e.span.start <= v) {
       return true;  // v lies within [e.span.start, top].
     }
-    if (!visited_entries.insert(e.span.start).second) {
+    if (!visited_entries.TryEmplace(e.span.start, 1).second) {
       continue;
     }
     if (linear_v && RangeHasAgent(e.span.start, top, sv.agent)) {
@@ -317,7 +330,8 @@ bool Graph::VersionContains(const Frontier& frontier, Lv v) const {
         return true;
       }
       if (p > v) {
-        queue.push(p);
+        queue.push_back(p);
+        std::push_heap(queue.begin(), queue.end());
       }
     }
   }
@@ -656,13 +670,14 @@ Frontier Graph::Reduce(const Frontier& frontier) const {
       }
     }
   }
-  Frontier out;
+  size_t kept = 0;
   for (size_t i = 0; i < members.size(); ++i) {
     if ((dominated & (uint64_t{1} << i)) == 0) {
-      out.push_back(members[i]);
+      members[kept++] = members[i];
     }
   }
-  return out;
+  members.resize(kept);
+  return members;
 }
 
 }  // namespace egwalker

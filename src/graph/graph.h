@@ -20,6 +20,7 @@
 #define EGWALKER_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -124,6 +125,8 @@ class Graph {
 
   // Interns an agent name, returning its dense id.
   AgentId GetOrCreateAgent(std::string_view name);
+  // The id of an already-interned agent, without interning it.
+  std::optional<AgentId> FindAgent(std::string_view name) const;
   const std::string& AgentName(AgentId id) const { return agent_names_[id]; }
   size_t agent_count() const { return agent_names_.size(); }
 
@@ -144,13 +147,16 @@ class Graph {
 
   // LV -> (agent, seq).
   RawVersion LvToRaw(Lv v) const;
-  // (agent, seq) -> LV; kInvalidLv when unknown.
+  // (agent, seq) -> LV; kInvalidLv when unknown. The AgentId overloads
+  // skip the name lookup (callers that resolved the name once).
   Lv RawToLv(std::string_view agent, uint64_t seq) const;
+  Lv RawToLv(AgentId agent, uint64_t seq) const;
 
   // Number of contiguous sequence numbers starting at `seq` that are known
   // for `agent` (0 if seq itself is unknown). Used when merging remote
   // events to skip already-known runs.
   uint64_t KnownRunLen(std::string_view agent, uint64_t seq) const;
+  uint64_t KnownRunLen(AgentId agent, uint64_t seq) const;
 
   // One past the largest sequence number known for `agent` (0 if none).
   uint64_t NextSeqFor(AgentId agent) const;
@@ -332,6 +338,12 @@ class Graph {
   // never clobber an in-progress diff's queue, and vice versa).
   mutable std::vector<Lv> reduce_heap_;
   mutable ScratchMap<uint64_t> reduce_pending_;
+
+  // VersionContains's walk: a max-heap of LVs and the run entries already
+  // expanded (keyed by entry start), reused so the query allocates nothing
+  // once warm — Add runs it for every appended run.
+  mutable std::vector<Lv> contains_heap_;
+  mutable ScratchMap<uint8_t> contains_visited_;
 };
 
 }  // namespace egwalker

@@ -15,7 +15,7 @@
 //                 backstop for a lost kLeave.
 //
 // Every delivery is safe under loss, duplication, and reordering:
-// Doc::ApplyRemoteChunks rejects causally premature patches wholesale and
+// Doc::ApplyRemoteBatch rejects causally premature patches wholesale and
 // skips already-known events, so the receiver of a kPatch either applies it
 // cleanly or answers with a kSyncRequest that repairs the gap on the next
 // round trip. No acknowledgements are tracked; periodic kSyncRequests are

@@ -59,9 +59,10 @@ Doc* DocRegistry::TryOpen(const std::string& name, std::string* error) {
     return &it->second.doc;
   }
 
-  Doc doc(config_.agent);
-  Lv checkpoint_lv = 0;
+  Entry* entry = nullptr;
   if (const std::vector<std::string>* chain = storage_.Chain(name)) {
+    // One span over the whole reload: the chain decode and the session
+    // resume below are both the price of having evicted the document.
     EGW_TRACE_SPAN("registry.load");
     auto loaded = Doc::LoadChain(*chain, config_.agent, error);
     if (!loaded.has_value()) {
@@ -71,28 +72,27 @@ Doc* DocRegistry::TryOpen(const std::string& name, std::string* error) {
       ++stats_.chain_load_failures;
       return nullptr;
     }
-    doc = std::move(*loaded);
-    checkpoint_lv = doc.end_lv();
     ++stats_.loads;
-    stats_.replayed_on_load += doc.replayed_events();
-    stats_.lazy_segments_skipped += doc.lazy_segments_skipped();
-    stats_.lazy_bytes_skipped += doc.lazy_bytes_skipped();
+    stats_.replayed_on_load += loaded->replayed_events();
+    stats_.lazy_segments_skipped += loaded->lazy_segments_skipped();
+    stats_.lazy_bytes_skipped += loaded->lazy_bytes_skipped();
+    const Lv checkpoint_lv = loaded->end_lv();
+    entry = &entries_.emplace(name, Entry{std::move(*loaded), checkpoint_lv, 0}).first->second;
+    // Sessions never survive the moves above; resume on the settled Doc so
+    // an evicted-then-reloaded document merges exactly like a resident one
+    // (TryResumeSession is a no-op for checkpoint-free chains — older
+    // files, checkpoint_session_anchor off — which keep the plain reload
+    // behaviour).
+    if (entry->doc.TryResumeSession()) {
+      ++stats_.session_resumes;
+    }
   } else {
     ++stats_.creates;
+    entry = &entries_.emplace(name, Entry{Doc(config_.agent), 0, 0}).first->second;
   }
-  Entry& entry =
-      entries_.emplace(name, Entry{std::move(doc), checkpoint_lv, 0}).first->second;
-  // Sessions never survive the moves above; resume on the settled Doc so an
-  // evicted-then-reloaded document merges exactly like a resident one
-  // (TryResumeSession is a no-op for non-chain docs and checkpoint-free
-  // chains — older files, checkpoint_session_anchor off — which keep the
-  // plain reload behaviour).
-  if (entry.doc.TryResumeSession()) {
-    ++stats_.session_resumes;
-  }
-  Touch(entry);
+  Touch(*entry);
   EvictOverCapacity(name);
-  return &entry.doc;
+  return &entry->doc;
 }
 
 uint64_t DocRegistry::TotalReplayedEvents() const {

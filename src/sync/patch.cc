@@ -1,6 +1,8 @@
 #include "sync/patch.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "rope/utf8.h"
@@ -88,59 +90,119 @@ std::optional<VersionSummary> DecodeSummary(std::string_view bytes, std::string*
 
 namespace {
 
-// One patch chunk awaiting encode, in LV order.
+// One patch chunk awaiting encode, in LV order. It owns no heap memory: a
+// chunk starting a graph run points at that run's parent list, and a chunk
+// starting mid-run holds its single parent (the predecessor event) inline.
 struct PendingChunk {
   AgentId agent;
   uint64_t seq_start;
-  uint64_t count;
-  Frontier parents;  // Local LVs; empty + chained set for a chain link.
-  bool chained;
-  OpSlice slice;
-  uint64_t skip;  // Leading events of the slice not included (known remotely).
+  const Frontier* entry_parents;  // Null when the parent is `own_parent`.
+  Lv own_parent;
+  bool chained;   // The parent is the previous chunk's last event: not written.
+  OpSlice slice;  // Exactly the events sent: count, position and text clipped.
+
+  std::span<const Lv> parents() const {
+    return entry_parents != nullptr ? std::span<const Lv>(*entry_parents)
+                                    : std::span<const Lv>(&own_parent, 1);
+  }
+};
+
+// Points `chunk` at the parents of `v`, its first event (inside `entry`),
+// and flags the chain link when the only parent is `prev_included_tail`.
+void SetParents(PendingChunk& chunk, const GraphEntry& entry, Lv v, Lv prev_included_tail) {
+  if (v > entry.span.start) {
+    chunk.entry_parents = nullptr;
+    chunk.own_parent = v - 1;
+  } else {
+    chunk.entry_parents = &entry.parents;
+  }
+  std::span<const Lv> parents = chunk.parents();
+  chunk.chained = parents.size() == 1 && parents[0] == prev_included_tail;
+}
+
+// A parent as written on the wire: (agent-table index, seq).
+struct WireParent {
+  uint32_t agent;
+  uint64_t seq;
 };
 
 // Serialises collected chunks into patch wire bytes. Shared by MakePatch
 // and MakePatchReference so the two collection strategies cannot drift in
 // encoding (the fuzz differential compares their bytes, not just decodes).
+//
+// Two passes over the chunks. The first interns every referenced agent
+// (authors and parents, in first-use order) through a flat AgentId-indexed
+// slot vector, resolves each written parent to (table index, seq) with one
+// agent-span search, and totals the exact wire size. The second writes into
+// a string reserved to that size. Four allocations (slots, table, parents,
+// output), whatever the chunk and parent counts (see the contract in
+// patch.h).
 std::string EncodePendingChunks(const Graph& g, const std::vector<PendingChunk>& chunks) {
   if (chunks.empty()) {
     return std::string();
   }
-
-  // Agent name table for every agent referenced (authors and parents).
-  std::vector<uint32_t> agent_table;
-  std::unordered_map<uint32_t, uint32_t> agent_index;
-  auto intern = [&](AgentId id) {
-    auto [it, inserted] = agent_index.emplace(id, static_cast<uint32_t>(agent_table.size()));
-    if (inserted) {
-      agent_table.push_back(id);
-    }
-    return it->second;
-  };
+  size_t parent_count = 0;
   for (const PendingChunk& chunk : chunks) {
-    intern(chunk.agent);
     if (!chunk.chained) {
-      for (Lv p : chunk.parents) {
-        intern(g.agent_spans().FindChecked(p).agent);
-      }
+      parent_count += chunk.parents().size();
     }
   }
 
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  std::vector<uint32_t> slot(g.agent_count(), kUnseen);
+  std::vector<AgentId> table;
+  table.reserve(g.agent_count());
+  std::vector<WireParent> parents;
+  parents.reserve(parent_count);
+  size_t size = sizeof(kPatchMagic) + 1 + VarintLen(chunks.size());
+  auto intern = [&](AgentId id) {
+    uint32_t& index = slot[id];
+    if (index == kUnseen) {
+      index = static_cast<uint32_t>(table.size());
+      table.push_back(id);
+      size += VarintLen(g.AgentName(id).size()) + g.AgentName(id).size();
+    }
+    return index;
+  };
+  for (const PendingChunk& chunk : chunks) {
+    const OpSlice& slice = chunk.slice;
+    size += 1 + VarintLen(intern(chunk.agent)) + VarintLen(chunk.seq_start) +
+            VarintLen(slice.count) + VarintLen(slice.pos_start);
+    if (slice.kind == OpKind::kInsert) {
+      size += VarintLen(slice.text.size()) + slice.text.size();
+    }
+    if (chunk.chained) {
+      continue;
+    }
+    std::span<const Lv> ps = chunk.parents();
+    size += VarintLen(ps.size());
+    for (Lv p : ps) {
+      const AgentSpan& as = g.agent_spans().FindChecked(p);
+      WireParent wp{intern(as.agent), as.seq_start + (p - as.span.start)};
+      size += VarintLen(wp.agent) + VarintLen(wp.seq);
+      parents.push_back(wp);
+    }
+  }
+  size += VarintLen(table.size());
+
   std::string out;
+  out.reserve(size);
   out.append(kPatchMagic, sizeof(kPatchMagic));
   out.push_back(static_cast<char>(kFormatVersion));
-  AppendVarint(out, agent_table.size());
-  for (uint32_t id : agent_table) {
+  AppendVarint(out, table.size());
+  for (AgentId id : table) {
     const std::string& name = g.AgentName(id);
     AppendVarint(out, name.size());
     out += name;
   }
   AppendVarint(out, chunks.size());
+  const WireParent* next_parent = parents.data();
   for (const PendingChunk& chunk : chunks) {
+    const OpSlice& slice = chunk.slice;
     uint8_t flags = 0;
-    if (chunk.slice.kind == OpKind::kDelete) {
+    if (slice.kind == OpKind::kDelete) {
       flags |= kChunkDelete;
-      if (!chunk.slice.fwd) {
+      if (!slice.fwd) {
         flags |= kChunkBackspace;
       }
     }
@@ -148,31 +210,24 @@ std::string EncodePendingChunks(const Graph& g, const std::vector<PendingChunk>&
       flags |= kChunkChainPrevious;
     }
     out.push_back(static_cast<char>(flags));
-    AppendVarint(out, intern(chunk.agent));
+    AppendVarint(out, slot[chunk.agent]);
     AppendVarint(out, chunk.seq_start);
-    AppendVarint(out, chunk.count);
+    AppendVarint(out, slice.count);
     if (!chunk.chained) {
-      AppendVarint(out, chunk.parents.size());
-      for (Lv p : chunk.parents) {
-        RawVersion rv = g.LvToRaw(p);
-        const AgentSpan& pas = g.agent_spans().FindChecked(p);
-        AppendVarint(out, intern(pas.agent));
-        AppendVarint(out, rv.seq);
+      size_t n = chunk.parents().size();
+      AppendVarint(out, n);
+      for (; n > 0; --n, ++next_parent) {
+        AppendVarint(out, next_parent->agent);
+        AppendVarint(out, next_parent->seq);
       }
     }
-    // Operation payload, clipped past the receiver-known prefix.
-    if (chunk.slice.kind == OpKind::kInsert) {
-      size_t from = Utf8ByteOfChar(chunk.slice.text, chunk.skip);
-      std::string_view text = chunk.slice.text.substr(from);
-      AppendVarint(out, chunk.slice.pos_start + chunk.skip);
-      AppendVarint(out, text.size());
-      out += text;
-    } else {
-      uint64_t pos =
-          chunk.slice.fwd ? chunk.slice.pos_start : chunk.slice.pos_start - chunk.skip;
-      AppendVarint(out, pos);
+    AppendVarint(out, slice.pos_start);
+    if (slice.kind == OpKind::kInsert) {
+      AppendVarint(out, slice.text.size());
+      out += slice.text;
     }
   }
+  EGW_CHECK(out.size() == size);
   return out;
 }
 
@@ -242,6 +297,7 @@ std::string MakePatch(const Doc& doc, const VersionSummary& they_have,
   // Phase 3 — cut chunks from the missing spans only. The scanner state
   // stays cheap because spans ascend; nothing outside them is visited.
   std::vector<PendingChunk> chunks;
+  chunks.reserve(missing.size());  // At least one chunk per span.
   Lv prev_included_tail = kInvalidLv;  // LV of the previous chunk's last event.
   ChunkScanner scan(g, ops);
   for (const LvSpan& span : missing) {
@@ -256,23 +312,18 @@ std::string MakePatch(const Doc& doc, const VersionSummary& they_have,
       PendingChunk chunk;
       chunk.agent = ck.agent->agent;
       chunk.seq_start = ck.agent->seq_start + (olv - ck.agent->span.start);
-      chunk.count = chunk_end - olv;
-      chunk.skip = 0;  // The slice already starts at the first missing event.
-      chunk.slice = ck.slice;
+      chunk.slice = ck.slice;  // Already starts at the first missing event.
+      chunk.slice.count = chunk_end - olv;
       if (chunk_end < ck.end && chunk.slice.kind == OpKind::kInsert) {
-        chunk.slice.text =
-            chunk.slice.text.substr(0, Utf8ByteOfChar(chunk.slice.text, chunk.count));
+        chunk.slice.text = chunk.slice.text.substr(
+            0, Utf8ByteOfChar(chunk.slice.text, chunk.slice.count));
       }
-      chunk.slice.count = chunk.count;
       // Parents: mid-run events chain onto their predecessor — including
       // the chain-link edge case where the receiver's watermark split the
       // run and the predecessor is NOT in the patch (it is encoded as the
       // explicit parent (agent, seq-1) because prev_included_tail then
       // points at some other run's tail, never at olv-1).
-      Frontier parents =
-          olv > ck.entry->span.start ? Frontier{olv - 1} : ck.entry->parents;
-      chunk.chained = (parents.size() == 1 && parents[0] == prev_included_tail);
-      chunk.parents = std::move(parents);
+      SetParents(chunk, *ck.entry, olv, prev_included_tail);
       prev_included_tail = chunk_end - 1;
       if (stats != nullptr) {
         // scanned counts the scanner's materialised chunk extent (ck.end),
@@ -282,10 +333,10 @@ std::string MakePatch(const Doc& doc, const VersionSummary& they_have,
         // overshooting its span (or a reintroduced history walk) makes
         // scanned outrun encoded.
         stats->events_scanned += ck.end - olv;
-        stats->events_encoded += chunk.count;
+        stats->events_encoded += chunk.slice.count;
         ++stats->chunks;
       }
-      chunks.push_back(std::move(chunk));
+      chunks.push_back(chunk);
       olv = chunk_end;
     }
   }
@@ -338,21 +389,25 @@ std::string MakePatchReference(const Doc& doc, const VersionSummary& they_have,
     PendingChunk chunk;
     chunk.agent = as.agent;
     chunk.seq_start = seq + known_remote;
-    chunk.count = slice.count - known_remote;
-    chunk.skip = known_remote;
     chunk.slice = slice;
     if (known_remote > 0) {
-      // The receiver has the run's prefix: chain from (agent, seq-1),
-      // encoded as an explicit parent.
+      // The receiver has the run's prefix: clip it off the slice and chain
+      // from (agent, seq-1), encoded as an explicit parent.
+      chunk.slice.count -= known_remote;
+      if (slice.kind == OpKind::kInsert) {
+        chunk.slice.text = slice.text.substr(Utf8ByteOfChar(slice.text, known_remote));
+        chunk.slice.pos_start += known_remote;
+      } else if (!slice.fwd) {
+        chunk.slice.pos_start -= known_remote;
+      }
+      chunk.entry_parents = nullptr;
+      chunk.own_parent = olv + known_remote - 1;
       chunk.chained = false;
-      chunk.parents = Frontier{olv + known_remote - 1};
     } else {
-      Frontier parents = g.ParentsOf(olv);
-      chunk.chained = (parents.size() == 1 && parents[0] == prev_included_tail);
-      chunk.parents = std::move(parents);
+      SetParents(chunk, *ck.entry, olv, prev_included_tail);
     }
     prev_included_tail = chunk_end - 1;
-    chunks.push_back(std::move(chunk));
+    chunks.push_back(chunk);
     olv = chunk_end;
   }
   return EncodePendingChunks(g, chunks);
@@ -385,16 +440,25 @@ bool SummaryCoversRange(const Graph& graph, const VersionSummary& summary, Lv fr
   return true;
 }
 
-std::optional<std::vector<RemoteChunk>> DecodePatch(std::string_view bytes, std::string* error) {
-  auto fail = [&](const char* msg) -> std::optional<std::vector<RemoteChunk>> {
+std::optional<RemoteBatch> DecodePatch(std::string_view bytes, std::string* error) {
+  auto fail = [&](const char* msg) -> std::optional<RemoteBatch> {
     if (error != nullptr) {
       *error = msg;
     }
     return std::nullopt;
   };
   ByteReader reader(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  std::string magic;
-  if (!reader.ReadBytes(4, magic) || magic != std::string(kPatchMagic, 4)) {
+  // A view of the next `n` bytes, or false when fewer remain.
+  auto read_view = [&](uint64_t n, std::string_view& out) {
+    size_t at = reader.position();
+    if (!reader.Skip(n)) {
+      return false;
+    }
+    out = bytes.substr(at, n);
+    return true;
+  };
+  std::string_view magic;
+  if (!read_view(4, magic) || magic != std::string_view(kPatchMagic, 4)) {
     return fail("bad patch magic");
   }
   auto version = reader.ReadByte();
@@ -405,84 +469,95 @@ std::optional<std::vector<RemoteChunk>> DecodePatch(std::string_view bytes, std:
   if (!agent_count || *agent_count == 0 || *agent_count > 1u << 24) {
     return fail("bad patch agent count");
   }
-  std::vector<std::string> agents;
+  // Reservations are capped by the bytes left, so a hostile count cannot
+  // make the decoder allocate more than the patch's own size warrants.
+  RemoteBatch batch;
+  batch.agents.reserve(std::min<uint64_t>(*agent_count, reader.remaining()));
   for (uint64_t i = 0; i < *agent_count; ++i) {
     auto len = reader.ReadVarint();
-    std::string name;
-    if (!len || !reader.ReadBytes(*len, name)) {
+    std::string_view name;
+    if (!len || !read_view(*len, name)) {
       return fail("bad patch agent name");
     }
-    agents.push_back(std::move(name));
+    batch.agents.push_back(name);
   }
   auto chunk_count = reader.ReadVarint();
   if (!chunk_count || *chunk_count > 1u << 28) {
     return fail("bad patch chunk count");
   }
-  std::vector<RemoteChunk> chunks;
-  chunks.reserve(*chunk_count);
+  // Every chunk takes at least 5 bytes (flags, agent, seq, count, pos).
+  batch.runs.reserve(std::min<uint64_t>(*chunk_count, reader.remaining() / 5));
   for (uint64_t i = 0; i < *chunk_count; ++i) {
     auto flags = reader.ReadByte();
     auto agent = reader.ReadVarint();
     auto seq = reader.ReadVarint();
     auto count = reader.ReadVarint();
-    if (!flags || !agent || *agent >= agents.size() || !seq || !count || *count == 0) {
+    if (!flags || !agent || *agent >= batch.agents.size() || !seq || !count || *count == 0) {
       return fail("bad chunk header");
     }
-    RemoteChunk chunk;
-    chunk.agent = agents[*agent];
-    chunk.seq_start = *seq;
-    chunk.count = *count;
-    chunk.kind = (*flags & kChunkDelete) != 0 ? OpKind::kDelete : OpKind::kInsert;
-    chunk.fwd = (*flags & kChunkBackspace) == 0;
-    chunk.chain_previous = (*flags & kChunkChainPrevious) != 0;
-    if (chunk.chain_previous && i == 0) {
+    RemoteBatch::Run run;
+    run.agent = static_cast<uint32_t>(*agent);
+    run.seq_start = *seq;
+    run.count = *count;
+    run.kind = (*flags & kChunkDelete) != 0 ? OpKind::kDelete : OpKind::kInsert;
+    run.fwd = (*flags & kChunkBackspace) == 0;
+    run.chain_previous = (*flags & kChunkChainPrevious) != 0;
+    if (run.chain_previous && i == 0) {
       return fail("first chunk cannot chain");
     }
-    if (!chunk.chain_previous) {
+    run.parents_begin = batch.parents.size();
+    if (!run.chain_previous) {
       auto nparents = reader.ReadVarint();
       if (!nparents || *nparents > 1u << 16) {
         return fail("bad chunk parent count");
       }
+      // Grow geometrically, but at least to this chunk's (byte-capped)
+      // parent count, so one wide chunk costs one reallocation, not log(n).
+      size_t want = batch.parents.size() + std::min<uint64_t>(*nparents, reader.remaining() / 2);
+      if (want > batch.parents.capacity()) {
+        batch.parents.reserve(std::max(want, 2 * batch.parents.capacity()));
+      }
       for (uint64_t p = 0; p < *nparents; ++p) {
         auto pagent = reader.ReadVarint();
         auto pseq = reader.ReadVarint();
-        if (!pagent || *pagent >= agents.size() || !pseq) {
+        if (!pagent || *pagent >= batch.agents.size() || !pseq) {
           return fail("bad chunk parent");
         }
-        chunk.parents.push_back(RawVersion{agents[*pagent], *pseq});
+        batch.parents.push_back({static_cast<uint32_t>(*pagent), *pseq});
       }
     }
+    run.parents_end = batch.parents.size();
     auto pos = reader.ReadVarint();
     if (!pos) {
       return fail("bad chunk position");
     }
-    chunk.pos = *pos;
-    if (chunk.kind == OpKind::kInsert) {
+    run.pos = *pos;
+    if (run.kind == OpKind::kInsert) {
       auto text_len = reader.ReadVarint();
-      if (!text_len || !reader.ReadBytes(*text_len, chunk.text)) {
+      if (!text_len || !read_view(*text_len, run.text)) {
         return fail("bad chunk text");
       }
-      if (!Utf8IsValid(chunk.text) || Utf8CountChars(chunk.text) != chunk.count) {
+      if (!Utf8IsValid(run.text) || Utf8CountChars(run.text) != run.count) {
         return fail("chunk text does not match event count");
       }
     }
-    chunks.push_back(std::move(chunk));
+    batch.runs.push_back(run);
   }
   if (!reader.empty()) {
     return fail("trailing patch bytes");
   }
-  return chunks;
+  return batch;
 }
 
 std::optional<uint64_t> ApplyPatch(Doc& doc, std::string_view bytes, std::string* error) {
   if (bytes.empty()) {
     return 0;  // MakePatch returns an empty string for "nothing to send".
   }
-  auto chunks = DecodePatch(bytes, error);
-  if (!chunks) {
+  auto batch = DecodePatch(bytes, error);
+  if (!batch) {
     return std::nullopt;
   }
-  return doc.ApplyRemoteChunks(*chunks, error);
+  return doc.ApplyRemoteBatch(*batch, error);
 }
 
 }  // namespace egwalker

@@ -17,10 +17,10 @@
 //      in causal order, with parents outside the patch encoded as
 //      (agent, seq) pairs and chained runs flagged instead of re-encoded.
 //
-// Patches compose with Doc::ApplyRemoteChunks, which validates causal
-// closure before touching the document — a patch whose dependencies have
-// not arrived yet is rejected wholesale (the reliable-broadcast layer
-// retries), never half-applied.
+// Patches decode into a RemoteBatch for Doc::ApplyRemoteBatch, which
+// validates causal closure before touching the document — a patch whose
+// dependencies have not arrived yet is rejected wholesale (the
+// reliable-broadcast layer retries), never half-applied.
 //
 // O(delta) patch building
 // -----------------------
@@ -50,6 +50,30 @@
 // its predecessor, so the link is exact. MakePatchReference keeps the old
 // whole-history scan alive as the differential-testing oracle
 // (fuzz_all requires byte-identical output for random summaries).
+//
+// Allocation contract
+// -------------------
+// The codec's heap traffic does not depend on how many parents a chunk
+// has, and parents cost no hashing. The broker encodes once per writer per
+// tick on all-writer documents, so this is the server's fan-out cost.
+//
+//   * MakePatch: the missing-span and chunk lists (grown by doubling, so
+//     O(log spans) reallocations), plus exactly four more buffers in the
+//     encoder: an AgentId-indexed slot vector that interns agents into the
+//     wire's name table, the table itself, the resolved (table index, seq)
+//     parents, and the output string, reserved to its exact size. Chunks
+//     point at the graph's parent lists instead of copying them, and each
+//     parent is resolved to its agent and seq by one agent-span search.
+//   * DecodePatch: three buffers (agent names, parents, runs). Names and
+//     text are views into the patch bytes, and reservations are capped by
+//     the bytes left, so a hostile count cannot inflate them.
+//   * Doc::ApplyRemoteBatch resolves each distinct agent name once, then
+//     validates and appends on ids: a fixed handful of buffers of its own,
+//     plus Graph::Add's storage for what is actually appended.
+//
+// test_sync's PatchAllocations test pins these counts for 4- and 32-wide
+// merge chunks, and bench_micro's BM_MakePatchWideFrontier reports
+// allocs_per_call, which check_bench gates against the committed baseline.
 
 #ifndef EGWALKER_SYNC_PATCH_H_
 #define EGWALKER_SYNC_PATCH_H_
@@ -112,9 +136,10 @@ std::string MakePatchReference(const Doc& doc, const VersionSummary& they_have,
 // point is already known to the receiver. O(agent runs in the range).
 bool SummaryCoversRange(const Graph& graph, const VersionSummary& summary, Lv from, Lv to);
 
-// Decodes a patch into remote chunks (ready for Doc::ApplyRemoteChunks).
-std::optional<std::vector<RemoteChunk>> DecodePatch(std::string_view bytes,
-                                                    std::string* error = nullptr);
+// Decodes a patch into a remote batch (ready for Doc::ApplyRemoteBatch).
+// The batch's agent names and text are views into `bytes`, which must
+// outlive it.
+std::optional<RemoteBatch> DecodePatch(std::string_view bytes, std::string* error = nullptr);
 
 // Convenience: decode + apply. Returns the number of events merged;
 // std::nullopt if the patch is malformed or causally premature (the

@@ -25,6 +25,15 @@ inline constexpr size_t kMaxVarintLen = 10;
 // Appends the varint encoding of `value` to `out`.
 void AppendVarint(std::string& out, uint64_t value);
 
+// The number of bytes AppendVarint writes for `value`.
+inline size_t VarintLen(uint64_t value) {
+  size_t n = 1;
+  for (; value >= 0x80; value >>= 7) {
+    ++n;
+  }
+  return n;
+}
+
 // Zigzag-maps `value` and appends its varint encoding to `out`.
 void AppendVarintSigned(std::string& out, int64_t value);
 

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <sstream>
+
+#include "golden/fixtures.h"
+#include "golden/patch_script.h"
+#include "rope/utf8.h"
+#include "util/memtrack.h"
 #include "util/prng.h"
 
 namespace egwalker {
@@ -457,6 +465,150 @@ TEST(Patch, DeltaSizeIsProportionalToChanges) {
   std::string delta = MakePatch(alice, SummarizeDoc(bob));
   std::string full = MakePatch(alice, VersionSummary{});
   EXPECT_LT(delta.size() * 20, full.size());
+}
+
+// A hub relaying for `width` writers. Each round every writer catches up
+// and types one run concurrently with the others, the hub merges them all
+// and types on top of the merge, so its last chunk has at least `width`
+// parents. `reader` is left holding everything but that chunk.
+class WideMerge {
+ public:
+  explicit WideMerge(int width) {
+    hub.Insert(0, "shared base. ");
+    for (int w = 0; w < width; ++w) {
+      writers_.emplace_back("writer-" + std::to_string(w));
+    }
+  }
+
+  void Round() {
+    for (Doc& w : writers_) {
+      ASSERT_TRUE(ApplyPatch(w, MakePatch(hub, SummarizeDoc(w))).has_value());
+      w.Insert(w.size(), "typed by " + w.agent_name() + ". ");
+    }
+    for (Doc& w : writers_) {
+      ASSERT_TRUE(ApplyPatch(hub, MakePatch(w, SummarizeDoc(hub))).has_value());
+    }
+    ASSERT_TRUE(ApplyPatch(reader, MakePatch(hub, SummarizeDoc(reader))).has_value());
+    hub.Insert(0, "merged: ");
+  }
+
+  Doc hub{"hub"};
+  Doc reader{"reader"};
+
+ private:
+  std::vector<Doc> writers_;
+};
+
+TEST(PatchAllocations, CodecDoesNotGrowWithParentsPerChunk) {
+  // The codec's allocation contract (sync/patch.h): a fixed handful of
+  // buffers per call, however many parents a chunk has. Before it, every
+  // parent cost hash-node allocations on both sides. The second round is
+  // measured: the first grows the graph's and walker's reusable scratch
+  // buffers to this width.
+  const int widths[2] = {4, 32};
+  size_t encode[2], decode[2], duplicate[2], apply[2];
+  for (int i = 0; i < 2; ++i) {
+    WideMerge m(widths[i]);
+    for (int round = 0; round < 2; ++round) {
+      m.Round();
+      VersionSummary they_have = SummarizeDoc(m.reader);
+      size_t before = memtrack::TotalAllocations();
+      std::string patch = MakePatch(m.hub, they_have);
+      encode[i] = memtrack::TotalAllocations() - before;
+
+      before = memtrack::TotalAllocations();
+      auto batch = DecodePatch(patch);
+      decode[i] = memtrack::TotalAllocations() - before;
+      ASSERT_TRUE(batch.has_value());
+      ASSERT_EQ(batch->runs.size(), 1u);
+      EXPECT_GE(batch->runs[0].parents_end - batch->runs[0].parents_begin,
+                static_cast<size_t>(widths[i]));
+
+      before = memtrack::TotalAllocations();
+      auto merged = ApplyPatch(m.reader, patch);
+      apply[i] = memtrack::TotalAllocations() - before;
+      ASSERT_EQ(merged, 8u);
+      EXPECT_EQ(m.reader.Text(), m.hub.Text());
+
+      // A duplicate delivery: decode, validation and the append pass's
+      // known-run skip, with no graph or walker work behind them.
+      before = memtrack::TotalAllocations();
+      merged = ApplyPatch(m.reader, patch);
+      duplicate[i] = memtrack::TotalAllocations() - before;
+      ASSERT_EQ(merged, 0u);
+    }
+  }
+  EXPECT_EQ(encode[1], encode[0]);
+  EXPECT_LE(encode[1], 6u);
+  EXPECT_EQ(decode[1], decode[0]);
+  EXPECT_LE(decode[1], 3u);
+  EXPECT_EQ(duplicate[1], duplicate[0]);
+  EXPECT_LE(duplicate[1], 6u);
+  // A fresh delivery adds Graph::Add and the walker's merge. Both are
+  // bounded too; only the walker's retreat/advance diff lists grow (by
+  // doubling) with the number of concurrent runs it has to advance.
+  EXPECT_LE(apply[0], 40u);
+  EXPECT_LE(apply[1], 40u);
+}
+
+TEST(PatchGolden, EncoderReproducesRecordedBytes) {
+  // patch_exchange.fnv64 pins the wire bytes an earlier encoder wrote for
+  // the 32-writer exchange of golden/patch_script.h (tests/golden/README.md).
+  // MakePatch and MakePatchReference share one encoder, so their byte
+  // differential cannot catch an encoder change; this can.
+  struct Recorded {
+    size_t bytes;
+    uint64_t fnv;
+  };
+  std::vector<Recorded> recorded;
+  std::istringstream in(golden::ReadFixture("patch_exchange.fnv64"));
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    uint64_t index = 0;
+    Recorded r{};
+    ASSERT_EQ(std::sscanf(line.c_str(), "%" SCNu64 " %zu %" SCNx64, &index, &r.bytes, &r.fnv), 3);
+    ASSERT_EQ(index, recorded.size());
+    recorded.push_back(r);
+  }
+  ASSERT_GT(recorded.size(), 300u);
+
+  size_t next = 0;
+  uint64_t multi_parent = 0, split_run = 0, backspace = 0, multibyte = 0;
+  std::vector<Doc> writers =
+      golden::RunPatchExchange([&](const Doc& from, const VersionSummary& they_have) {
+        std::string patch = MakePatch(from, they_have);
+        EXPECT_EQ(patch, MakePatchReference(from, they_have));
+        EXPECT_LT(next, recorded.size());
+        if (next < recorded.size()) {
+          EXPECT_EQ(patch.size(), recorded[next].bytes) << "patch " << next;
+          EXPECT_EQ(golden::Fnv1a64(patch), recorded[next].fnv) << "patch " << next;
+        }
+        ++next;
+        if (auto batch = DecodePatch(patch)) {
+          for (const RemoteBatch::Run& r : batch->runs) {
+            size_t parents = r.chain_previous ? 0 : r.parents_end - r.parents_begin;
+            multi_parent += parents >= 2;
+            if (parents == 1) {
+              const RemoteBatch::Parent& p = batch->parents[r.parents_begin];
+              split_run += p.agent == r.agent && p.seq + 1 == r.seq_start;
+            }
+            backspace += r.kind == OpKind::kDelete && !r.fwd;
+            multibyte += Utf8CountChars(r.text) != r.text.size();
+          }
+        }
+        return patch;
+      });
+  EXPECT_EQ(next, recorded.size());
+  // The exchange exercises every encoder path the fixture is meant to pin.
+  EXPECT_GT(multi_parent, 0u);
+  EXPECT_GT(split_run, 0u);
+  EXPECT_GT(backspace, 0u);
+  EXPECT_GT(multibyte, 0u);
+  for (const Doc& w : writers) {
+    EXPECT_EQ(w.Text(), writers[0].Text());
+  }
 }
 
 }  // namespace

@@ -31,6 +31,7 @@ TEST(Varint, EncodesBoundaryValues) {
     std::string out;
     AppendVarint(out, c.value);
     EXPECT_EQ(out.size(), c.bytes) << c.value;
+    EXPECT_EQ(VarintLen(c.value), c.bytes) << c.value;
   }
 }
 

@@ -28,6 +28,10 @@ construction; it is caught instead by re-measuring interleaved
 before/after numbers into BENCH_fig8.json whenever a perf-relevant PR
 lands (see ROADMAP's perf-trajectory section).
 
+Micro rows that report an allocs_per_call counter (the patch encoder's
+allocation contract) are also gated on it directly: memtrack's counts are
+exact and machine-independent, so no normalisation applies.
+
 The sharded bench_server rows additionally get a same-machine scaling
 gate: the 4x32w/s4 recorded-load replay must beat 4x32w/s1 by
 --server-scaling-min (2x) whenever the fresh measurement ran on >= 4
@@ -105,6 +109,15 @@ def load_full_rows(path, section=None):
         for row in part["rows"]:
             rows[(row["trace"], row["algorithm"])] = row
     return rows
+
+
+def load_micro_counters(path, counter):
+    """Returns {name: value of `counter`} for the google-benchmark rows that
+    report it."""
+    with open(path) as f:
+        doc = json.load(f)
+    return {b["name"]: float(b[counter]) for b in doc.get("benchmarks", [])
+            if b.get("run_type", "iteration") != "aggregate" and counter in b}
 
 
 def load_micro_rows(path):
@@ -211,6 +224,31 @@ def check_storm_sublinearity(measured_full, max_ratio):
           f"storm {spi_wide:.2f} steps/insert = x{ratio:.2f} for 4x group width "
           f"(max x{max_ratio:.1f})")
     return 0 if ratio <= max_ratio else 1
+
+
+def check_micro_allocs(baseline, measured, max_growth):
+    """Gates the micro rows' allocs_per_call counters (the patch encoder's
+    allocation contract, BM_MakePatchWideFrontier).
+
+    memtrack counts operator-new calls exactly, so the counter is the same
+    on every machine: each row is compared directly against the committed
+    baseline, no median normalisation. A regression to per-parent or
+    per-chunk allocation shows up as a multiple, not a few percent."""
+    failures = 0
+    keys = sorted(set(baseline) & set(measured))
+    if not keys:
+        print("[micro-allocs] no allocs_per_call rows in both baseline and "
+              "measurement - skipping gate")
+        return 0
+    for key in keys:
+        base, meas = baseline[key], measured[key]
+        limit = base * (1.0 + max_growth)
+        flag = "ok" if meas <= limit else "FAIL"
+        if meas > limit:
+            failures += 1
+        print(f"[micro-allocs] {flag:4} {key:<45} base {base:>8.1f}  meas {meas:>8.1f}"
+              f"  (limit {limit:.1f})")
+    return failures
 
 
 def check_server_scaling(full_rows, min_speedup):
@@ -371,6 +409,11 @@ def main():
                          "scan work between the storm-1k and storm rows (4x "
                          "group width; linear growth would be ~4x, the fast "
                          "path's logarithmic growth ~1.2x)")
+    ap.add_argument("--allocs-max-growth", type=float, default=0.25,
+                    help="maximum tolerated growth of a micro row's "
+                         "allocs_per_call counter over the baseline (exact "
+                         "counts, compared directly; the slack absorbs "
+                         "standard-library growth policies)")
     ap.add_argument("--sizes-baseline", action="append", default=[],
                     help="committed filesize baseline (BENCH_fig11.json / "
                          "BENCH_fig12.json); repeatable, paired with --sizes "
@@ -405,6 +448,12 @@ def main():
         for path in args.micro:
             measured.update(load_micro_rows(path))
         failures += check_group("micro", baseline, measured, args.micro_threshold)
+        allocs = {}
+        for path in args.micro:
+            allocs.update(load_micro_counters(path, "allocs_per_call"))
+        failures += check_micro_allocs(
+            load_micro_counters(args.micro_baseline, "allocs_per_call"), allocs,
+            args.allocs_max_growth)
     if args.server_baseline and args.server:
         # bench_server emits the same {trace, algorithm, mean_ms} row schema
         # as fig8 (trace = scenario, algorithm = phase), so the loader is
