@@ -199,6 +199,16 @@ std::optional<uint64_t> Doc::ApplyRemoteBatch(const RemoteBatch& batch, std::str
   Graph& graph = trace_.graph;
   const std::vector<RemoteBatch::Run>& runs = batch.runs;
 
+  // Slots below are per table index: a name listed twice would get two
+  // slots, and the second would append again what the first created.
+  {
+    std::vector<std::string_view> names(batch.agents);
+    std::sort(names.begin(), names.end());
+    if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+      return fail("batch lists an agent name twice");
+    }
+  }
+
   // Each batch agent resolved once: its local id (kUnknownAgent until the
   // append pass creates it) and the newest of the seq ranges earlier runs
   // of the batch will add for it (a list threaded through `ranges`).

@@ -58,7 +58,8 @@ struct RemoteChunk {
 
 // Remote event runs with their agents interned: the shape a sync patch
 // carries on the wire (sync/patch.h decodes straight into it) and the form
-// Doc::ApplyRemoteBatch consumes. `agents` lists each agent name once; runs
+// Doc::ApplyRemoteBatch consumes. `agents` lists each agent name once (a
+// batch that repeats a name is rejected); runs
 // and parents refer to names by index, so applying a batch looks each name
 // up in the local graph once, however many runs and parents cite it. Names
 // and text are views: the bytes behind them must outlive the batch.

@@ -508,22 +508,20 @@ std::optional<RemoteBatch> DecodePatch(std::string_view bytes, std::string* erro
     run.parents_begin = batch.parents.size();
     if (!run.chain_previous) {
       auto nparents = reader.ReadVarint();
-      if (!nparents || *nparents > 1u << 16) {
+      // Each parent takes at least two bytes, so a count the bytes left
+      // cannot hold is malformed (and cannot inflate the resize below).
+      if (!nparents || *nparents > 1u << 16 || *nparents > reader.remaining() / 2) {
         return fail("bad chunk parent count");
       }
-      // Grow geometrically, but at least to this chunk's (byte-capped)
-      // parent count, so one wide chunk costs one reallocation, not log(n).
-      size_t want = batch.parents.size() + std::min<uint64_t>(*nparents, reader.remaining() / 2);
-      if (want > batch.parents.capacity()) {
-        batch.parents.reserve(std::max(want, 2 * batch.parents.capacity()));
-      }
-      for (uint64_t p = 0; p < *nparents; ++p) {
+      // One resize per chunk: a wide chunk costs at most one reallocation.
+      batch.parents.resize(run.parents_begin + *nparents);
+      for (size_t p = run.parents_begin; p < batch.parents.size(); ++p) {
         auto pagent = reader.ReadVarint();
         auto pseq = reader.ReadVarint();
         if (!pagent || *pagent >= batch.agents.size() || !pseq) {
           return fail("bad chunk parent");
         }
-        batch.parents.push_back({static_cast<uint32_t>(*pagent), *pseq});
+        batch.parents[p] = {static_cast<uint32_t>(*pagent), *pseq};
       }
     }
     run.parents_end = batch.parents.size();

@@ -64,12 +64,14 @@
 //     parents, and the output string, reserved to its exact size. Chunks
 //     point at the graph's parent lists instead of copying them, and each
 //     parent is resolved to its agent and seq by one agent-span search.
-//   * DecodePatch: three buffers (agent names, parents, runs). Names and
-//     text are views into the patch bytes, and reservations are capped by
-//     the bytes left, so a hostile count cannot inflate them.
-//   * Doc::ApplyRemoteBatch resolves each distinct agent name once, then
-//     validates and appends on ids: a fixed handful of buffers of its own,
-//     plus Graph::Add's storage for what is actually appended.
+//   * DecodePatch: three buffers (agent names, parents, runs); parents are
+//     resized once per chunk, so a wide chunk costs one reallocation. Names
+//     and text are views into the patch bytes, and every reservation is
+//     capped by the bytes left, so a hostile count cannot inflate it.
+//   * Doc::ApplyRemoteBatch rejects a table that repeats a name, resolves
+//     each name once, then validates and appends on ids: a fixed handful
+//     of buffers of its own, plus Graph::Add's storage for what is
+//     actually appended.
 //
 // test_sync's PatchAllocations test pins these counts for 4- and 32-wide
 // merge chunks, and bench_micro's BM_MakePatchWideFrontier reports

@@ -242,6 +242,27 @@ TEST(Patch, RejectsCorruptBytes) {
   EXPECT_EQ(bob.size(), 0u);
 }
 
+TEST(Patch, RejectsAgentTableListingANameTwice) {
+  // The encoder never repeats a name, but a hostile patch can: "zed" (new
+  // to bob) at table indexes 0 and 1, each with a run at seq 0..3. Applied
+  // per index, the second run would append (zed, 0..3) a second time.
+  Doc bob("bob");
+  bob.Insert(0, "hi");
+  // Magic, version, two names, two chunks.
+  std::string patch = std::string("EGWP\x01\x02", 6) + "\x03zed\x03zed\x02";
+  for (char agent : {'\0', '\1'}) {
+    // Insert flags, agent, seq 0, 4 events, no parents, pos 0, 4 text bytes.
+    patch += std::string({'\0', agent, '\0', '\4', '\0', '\0', '\4'}) + "abcd";
+  }
+  ASSERT_TRUE(DecodePatch(patch).has_value());
+  std::string error;
+  EXPECT_FALSE(ApplyPatch(bob, patch, &error).has_value());
+  EXPECT_EQ(error, "batch lists an agent name twice");
+  EXPECT_EQ(bob.graph().size(), 2u);
+  EXPECT_FALSE(bob.graph().FindAgent("zed").has_value());
+  EXPECT_EQ(bob.Text(), "hi");
+}
+
 TEST(Patch, ApplyingTwiceIsIdempotent) {
   Doc alice("alice");
   alice.Insert(0, "once");
@@ -530,8 +551,9 @@ TEST(PatchAllocations, CodecDoesNotGrowWithParentsPerChunk) {
       ASSERT_EQ(merged, 8u);
       EXPECT_EQ(m.reader.Text(), m.hub.Text());
 
-      // A duplicate delivery: decode, validation and the append pass's
-      // known-run skip, with no graph or walker work behind them.
+      // A duplicate delivery: decode, the agent-table check, validation and
+      // the append pass's known-run skip, with no graph or walker work
+      // behind them.
       before = memtrack::TotalAllocations();
       merged = ApplyPatch(m.reader, patch);
       duplicate[i] = memtrack::TotalAllocations() - before;
@@ -543,7 +565,7 @@ TEST(PatchAllocations, CodecDoesNotGrowWithParentsPerChunk) {
   EXPECT_EQ(decode[1], decode[0]);
   EXPECT_LE(decode[1], 3u);
   EXPECT_EQ(duplicate[1], duplicate[0]);
-  EXPECT_LE(duplicate[1], 6u);
+  EXPECT_LE(duplicate[1], 7u);
   // A fresh delivery adds Graph::Add and the walker's merge. Both are
   // bounded too; only the walker's retreat/advance diff lists grow (by
   // doubling) with the number of concurrent runs it has to advance.

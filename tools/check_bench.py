@@ -226,7 +226,12 @@ def check_storm_sublinearity(measured_full, max_ratio):
     return 0 if ratio <= max_ratio else 1
 
 
-def check_micro_allocs(baseline, measured, max_growth):
+# Tolerated growth of a micro row's allocs_per_call over the baseline. The
+# counts are exact; the slack absorbs standard-library growth policies.
+ALLOCS_MAX_GROWTH = 0.25
+
+
+def check_micro_allocs(baseline, measured):
     """Gates the micro rows' allocs_per_call counters (the patch encoder's
     allocation contract, BM_MakePatchWideFrontier).
 
@@ -242,7 +247,7 @@ def check_micro_allocs(baseline, measured, max_growth):
         return 0
     for key in keys:
         base, meas = baseline[key], measured[key]
-        limit = base * (1.0 + max_growth)
+        limit = base * (1.0 + ALLOCS_MAX_GROWTH)
         flag = "ok" if meas <= limit else "FAIL"
         if meas > limit:
             failures += 1
@@ -409,11 +414,6 @@ def main():
                          "scan work between the storm-1k and storm rows (4x "
                          "group width; linear growth would be ~4x, the fast "
                          "path's logarithmic growth ~1.2x)")
-    ap.add_argument("--allocs-max-growth", type=float, default=0.25,
-                    help="maximum tolerated growth of a micro row's "
-                         "allocs_per_call counter over the baseline (exact "
-                         "counts, compared directly; the slack absorbs "
-                         "standard-library growth policies)")
     ap.add_argument("--sizes-baseline", action="append", default=[],
                     help="committed filesize baseline (BENCH_fig11.json / "
                          "BENCH_fig12.json); repeatable, paired with --sizes "
@@ -452,8 +452,7 @@ def main():
         for path in args.micro:
             allocs.update(load_micro_counters(path, "allocs_per_call"))
         failures += check_micro_allocs(
-            load_micro_counters(args.micro_baseline, "allocs_per_call"), allocs,
-            args.allocs_max_growth)
+            load_micro_counters(args.micro_baseline, "allocs_per_call"), allocs)
     if args.server_baseline and args.server:
         # bench_server emits the same {trace, algorithm, mean_ms} row schema
         # as fig8 (trace = scenario, algorithm = phase), so the loader is
