@@ -17,9 +17,11 @@
 // collab.json is Chrome trace_event JSON: open https://ui.perfetto.dev (or
 // chrome://tracing) and drop the file in. The timeline shows every tick's
 // phases — net.tick delivery, broker.apply_patch / broker.sync_request per
-// message, broker.encode_patch under them when the patch cache misses,
-// walker.merge for each replica-side merge, registry.load / registry.flush
-// when the LRU evicts and reloads. `python3 tools/summarize_trace.py
+// message, broker.encode_patch for every patch the broker builds (under
+// broker.sync_request, or broker.flush for a tick's fan-out, where
+// subscribers with equal estimates share one), walker.merge for each
+// replica-side merge, registry.load / registry.flush when the LRU evicts
+// and reloads. `python3 tools/summarize_trace.py
 // collab.json` prints the same data as a per-phase self-time table.
 // metrics.json is the metrics registry (obs/metrics.h): broker/registry/
 // net counters plus the client-observed convergence-latency histogram in

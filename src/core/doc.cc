@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "rope/utf8.h"
 #include "util/assert.h"
@@ -155,38 +154,6 @@ uint64_t Doc::MergeFrom(const Doc& other) {
   auto merged = ApplyRemoteBatch(batch);
   EGW_CHECK(merged.has_value());  // A full history is always causally closed.
   return *merged;
-}
-
-std::optional<uint64_t> Doc::ApplyRemoteChunks(const std::vector<RemoteChunk>& chunks,
-                                               std::string* error) {
-  RemoteBatch batch;
-  std::unordered_map<std::string_view, uint32_t> index;
-  auto intern = [&](std::string_view name) {
-    auto [it, inserted] = index.try_emplace(name, static_cast<uint32_t>(batch.agents.size()));
-    if (inserted) {
-      batch.agents.push_back(name);
-    }
-    return it->second;
-  };
-  batch.runs.reserve(chunks.size());
-  for (const RemoteChunk& chunk : chunks) {
-    RemoteBatch::Run run;
-    run.agent = intern(chunk.agent);
-    run.seq_start = chunk.seq_start;
-    run.count = chunk.count;
-    run.chain_previous = chunk.chain_previous;
-    run.parents_begin = batch.parents.size();
-    for (const RawVersion& rv : chunk.parents) {
-      batch.parents.push_back({intern(rv.agent), rv.seq});
-    }
-    run.parents_end = batch.parents.size();
-    run.kind = chunk.kind;
-    run.pos = chunk.pos;
-    run.fwd = chunk.fwd;
-    run.text = chunk.text;
-    batch.runs.push_back(run);
-  }
-  return ApplyRemoteBatch(batch, error);
 }
 
 std::optional<uint64_t> Doc::ApplyRemoteBatch(const RemoteBatch& batch, std::string* error) {
@@ -522,8 +489,7 @@ std::string Doc::SaveSegment(Lv base_lv, const SaveOptions& options) const {
 }
 
 std::optional<Doc> Doc::LoadChain(const std::vector<std::string>& segments,
-                                  std::string_view agent_name, std::string* error,
-                                  const ChainLoadOptions& chain_options) {
+                                  std::string_view agent_name, std::string* error) {
   auto fail = [&](const char* msg) -> std::optional<Doc> {
     if (error != nullptr && error->empty()) {
       *error = msg;
@@ -574,8 +540,7 @@ std::optional<Doc> Doc::LoadChain(const std::vector<std::string>& segments,
       v2_prefix_open = false;
     }
   }
-  const size_t skip_count =
-      (chain_options.lazy_ops && effective_cached) ? v2_prefix : 0;
+  const size_t skip_count = effective_cached ? v2_prefix : 0;
 
   Doc doc;
   if (skip_count > 0) {

@@ -39,30 +39,13 @@
 
 namespace egwalker {
 
-// A run of events received from a remote replica, identified by interchange
-// ids: the self-contained form for hand-built input (Doc::ApplyRemoteChunks).
-struct RemoteChunk {
-  std::string agent;
-  uint64_t seq_start = 0;
-  uint64_t count = 0;
-  // Parents of the first event. When chain_previous is set, the single
-  // parent is the previous chunk's last event and `parents` is ignored.
-  bool chain_previous = false;
-  std::vector<RawVersion> parents;
-  // The operation run (see OpRun semantics).
-  OpKind kind = OpKind::kInsert;
-  uint64_t pos = 0;
-  bool fwd = true;
-  std::string text;
-};
-
 // Remote event runs with their agents interned: the shape a sync patch
-// carries on the wire (sync/patch.h decodes straight into it) and the form
-// Doc::ApplyRemoteBatch consumes. `agents` lists each agent name once (a
-// batch that repeats a name is rejected); runs
-// and parents refer to names by index, so applying a batch looks each name
-// up in the local graph once, however many runs and parents cite it. Names
-// and text are views: the bytes behind them must outlive the batch.
+// carries on the wire (sync/patch.h decodes straight into it) and the one
+// form Doc::ApplyRemoteBatch consumes. `agents` lists each agent name once
+// (a batch that repeats a name is rejected); runs and parents refer to
+// names by index, so applying a batch looks each name up in the local
+// graph once, however many runs and parents cite it. Names and text are
+// views: the bytes behind them must outlive the batch.
 struct RemoteBatch {
   struct Parent {
     uint32_t agent = 0;  // Index into `agents`.
@@ -87,18 +70,6 @@ struct RemoteBatch {
   std::vector<std::string_view> agents;
   std::vector<Parent> parents;
   std::vector<Run> runs;
-};
-
-// Knobs for Doc::LoadChain (defined out-of-class so the declaration's
-// `= {}` default parses).
-struct ChainLoadOptions {
-  // Lazily decode the ops/content columns of fully-covered v2 segments
-  // when the chain ends on a cached document: the reload then parses only
-  // graph columns (plus the final text), and the skipped payloads are
-  // hydrated on demand by the first operation that actually walks back
-  // into the old window (Doc::EnsureOpsFor). Checksums of skipped columns
-  // are still verified at load. Off = decode everything eagerly.
-  bool lazy_ops = true;
 };
 
 class Doc {
@@ -140,26 +111,22 @@ class Doc {
   uint64_t MergeFrom(const Doc& other);
 
   // Integrates event runs received from a remote replica (causal order:
-  // every chunk's parents must be satisfied by known events or earlier
-  // chunks). Already-known events are skipped, concurrent ones are merged
-  // incrementally. Returns the number of new events, or std::nullopt if a
-  // chunk references an unknown parent — the caller (the reliable-broadcast
-  // layer of Section 2.1) should retry once the gap is filled; the document
-  // is left unchanged in that case.
-  std::optional<uint64_t> ApplyRemoteChunks(const std::vector<RemoteChunk>& chunks,
-                                            std::string* error = nullptr);
-
-  // ApplyRemoteChunks on the interned form (same contract): every agent
-  // name in the batch is resolved against the local graph once, and the
-  // validation and append passes work on ids. ApplyRemoteChunks interns its
-  // chunks into a batch and lands here; sync's ApplyPatch decodes into one.
+  // every run's parents must be satisfied by known events or earlier runs
+  // of the batch). Already-known events are skipped, concurrent ones are
+  // merged incrementally. Returns the number of new events, or std::nullopt
+  // if a run references an unknown parent or is malformed — the caller (the
+  // reliable-broadcast layer of Section 2.1) should retry once the gap is
+  // filled; the document is left unchanged in that case. Every agent name
+  // in the batch is resolved against the local graph once, and the
+  // validation and append passes work on ids. sync's ApplyPatch decodes
+  // into a batch; MergeFrom builds one from the other document's graph.
   std::optional<uint64_t> ApplyRemoteBatch(const RemoteBatch& batch,
                                            std::string* error = nullptr);
 
   // --- Editor integration ---------------------------------------------------
 
   // Change listener: receives the *transformed* operations (Section 2.4's
-  // incremental update) that MergeFrom / ApplyRemoteChunks apply to the
+  // incremental update) that MergeFrom / ApplyRemoteBatch apply to the
   // text, so an editor can patch its own buffer instead of reloading it.
   // Positions are indexes into the document as it stands when each op is
   // delivered; ops arrive in application order. Local Insert/Delete calls
@@ -222,13 +189,18 @@ class Doc {
   // the cached document), so eviction/reload no longer costs the next merge
   // anything: replayed_events() stays O(appended), exactly as if the
   // document had never left memory.
+  // A chain that ends on a cached document decodes the ops/content columns
+  // of its leading v2 segments lazily: the reload parses only graph columns
+  // (plus the final text), and the skipped payloads are hydrated on demand
+  // by the first operation that actually walks back into the old window
+  // (Doc::EnsureOpsFor). Checksums of skipped columns are still verified at
+  // load.
   // A corrupt or discontiguous segment anywhere in the chain fails the
   // WHOLE load (no partial prefix is ever returned), with *error naming
   // the offending segment index.
   static std::optional<Doc> LoadChain(const std::vector<std::string>& segments,
                                       std::string_view agent_name,
-                                      std::string* error = nullptr,
-                                      const ChainLoadOptions& chain_options = {});
+                                      std::string* error = nullptr);
 
   // Diagnostic counter: how many events this Doc has replayed through the
   // walker (full rebuilds, incremental merges, uncached loads). Incremental

@@ -34,7 +34,6 @@ void Broker::Handle(MessageSink& sink, int from, const Message& msg) {
     case MsgType::kLeave:
       ++stats_.leaves;
       sessions_.erase(SessionKey{msg.doc, from});
-      MaybeDropPatchCache(msg.doc);
       break;
   }
   // Sweep after handling: the message just processed counts as liveness,
@@ -66,9 +65,9 @@ void Broker::HandleSyncRequest(MessageSink& sink, int from, const Message& msg) 
   reply.type = MsgType::kPatch;
   reply.doc = msg.doc;
   reply.summary = my_summary;
-  // Periodic sync requests are the protocol's heartbeat; serving them from
-  // the watermarked cache keeps an idle document's repair traffic free.
-  reply.patch = CachedPatch(doc, msg.doc, *theirs, ++patch_epoch_);
+  // Periodic sync requests are the protocol's heartbeat; for a caught-up
+  // client the O(delta) encode finds nothing and the reply's patch is empty.
+  reply.patch = EncodePatch(doc, *theirs);
   sink.Send(from, std::move(reply));
 
   // The summary may also reveal events the server lacks (the client edited
@@ -165,19 +164,28 @@ void Broker::FlushBroadcasts(MessageSink& sink) {
 void Broker::Broadcast(MessageSink& sink, Doc& doc, const std::string& doc_name) {
   VersionSummary mine = SummarizeDoc(doc);
   std::string my_summary = EncodeSummary(mine);
-  // One encoded patch per distinct subscriber summary, served through the
-  // watermarked cross-tick cache. Read-only subscribers stay in lockstep
-  // after a batched round and share one O(delta) MakePatch (or none, when a
-  // previous tick's encode is still watermark-valid). Writers do not: each
-  // lacks everyone's events but its own, so an all-writer fan-out costs one
-  // encode per writer (server-writers: 1486.5 encodes and 126 cross-tick
-  // reuses per replay).
-  uint64_t epoch = ++patch_epoch_;
+  // One encoded patch per distinct subscriber estimate in this round.
+  // Read-only subscribers stay in lockstep after a batched round and share
+  // one O(delta) MakePatch. Writers do not: each lacks everyone's events
+  // but its own, so an all-writer fan-out costs one encode per writer.
+  // Estimates are compared in place, so none may advance before the
+  // round's last encode; `receivers` defers that.
+  std::vector<std::pair<const VersionSummary*, std::string>> encodes;
+  std::vector<Session*> receivers;
   // Doc-first session keys: scan exactly this document's subscribers.
   for (auto it = sessions_.lower_bound(SessionKey{doc_name, INT_MIN});
        it != sessions_.end() && it->first.first == doc_name; ++it) {
     Session& session = it->second;
-    const std::string& patch = CachedPatch(doc, doc_name, session.known, epoch);
+    size_t i = 0;
+    while (i < encodes.size() && *encodes[i].first != session.known) {
+      ++i;
+    }
+    if (i == encodes.size()) {
+      encodes.emplace_back(&session.known, EncodePatch(doc, session.known));
+    } else {
+      ++stats_.patch_encodes_shared;
+    }
+    const std::string& patch = encodes[i].second;
     if (patch.empty()) {
       continue;  // Estimated fully caught up (e.g. the patch's own sender).
     }
@@ -187,74 +195,24 @@ void Broker::Broadcast(MessageSink& sink, Doc& doc, const std::string& doc_name)
     out.summary = my_summary;
     out.patch = patch;
     sink.Send(it->first.second, std::move(out));
-    // Optimistic union of what it had and what is in flight; repaired by
-    // the client's next sync request if the broadcast is lost.
-    SummaryMerge(session.known, mine);
+    receivers.push_back(&session);
     ++stats_.broadcasts;
+  }
+  // Optimistic union of what each receiver had and what is in flight;
+  // repaired by the client's next sync request if the broadcast is lost.
+  for (Session* session : receivers) {
+    SummaryMerge(session->known, mine);
   }
 }
 
-const std::string& Broker::CachedPatch(Doc& doc, const std::string& doc_name,
-                                       const VersionSummary& summary, uint64_t epoch) {
-  const Lv end = doc.end_lv();
-  std::vector<CachedEncode>& entries = patch_cache_[doc_name];
-  auto encode_into = [&](CachedEncode& entry) -> const std::string& {
-    EGW_TRACE_SPAN("broker.encode_patch");
-    MakePatchStats patch_stats;
-    entry.patch = MakePatch(doc, summary, &patch_stats);
-    entry.summary = summary;
-    entry.end_lv = end;
-    entry.stamp = ++patch_cache_clock_;
-    entry.epoch = epoch;
-    ++stats_.patch_encodes;
-    stats_.patch_events_scanned += patch_stats.events_scanned;
-    stats_.patch_events_encoded += patch_stats.events_encoded;
-    return entry.patch;
-  };
-  for (CachedEncode& entry : entries) {
-    if (entry.summary != summary) {
-      continue;
-    }
-    // Watermark check: the bytes stay valid while every event appended
-    // past the entry's encode point is already known to this receiver —
-    // the missing set (and the deterministic encoding of it) is unchanged.
-    if (entry.end_lv == end ||
-        (entry.end_lv < end && SummaryCoversRange(doc.graph(), summary, entry.end_lv, end))) {
-      entry.end_lv = end;  // Advance the watermark past the covered gap.
-      entry.stamp = ++patch_cache_clock_;
-      if (entry.epoch == epoch) {
-        ++stats_.patch_encodes_shared;
-      } else {
-        ++stats_.patch_encodes_reused;
-        entry.epoch = epoch;
-      }
-      return entry.patch;
-    }
-    return encode_into(entry);  // Stale: new events this receiver lacks.
-  }
-  if (entries.size() < kPatchCacheEntriesPerDoc) {
-    entries.emplace_back();
-    return encode_into(entries.back());
-  }
-  // Evict the LRU entry — but never one already served in THIS fan-out
-  // round, or a doc with more distinct subscriber summaries than cache
-  // slots would thrash within the round (degrading encodes-per-round from
-  // 'distinct summaries' to 'subscribers'). With every slot hot, the
-  // overflow summary is encoded into an uncached scratch instead.
-  size_t victim = entries.size();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].epoch == epoch) {
-      continue;
-    }
-    if (victim == entries.size() || entries[i].stamp < entries[victim].stamp) {
-      victim = i;
-    }
-  }
-  if (victim == entries.size()) {
-    CachedEncode& scratch = overflow_encode_;
-    return encode_into(scratch);
-  }
-  return encode_into(entries[victim]);
+std::string Broker::EncodePatch(const Doc& doc, const VersionSummary& summary) {
+  EGW_TRACE_SPAN("broker.encode_patch");
+  MakePatchStats patch_stats;
+  std::string patch = MakePatch(doc, summary, &patch_stats);
+  ++stats_.patch_encodes;
+  stats_.patch_events_scanned += patch_stats.events_scanned;
+  stats_.patch_events_encoded += patch_stats.events_encoded;
+  return patch;
 }
 
 Broker::DocHandoff Broker::ExtractDoc(const std::string& doc_name) {
@@ -265,9 +223,6 @@ Broker::DocHandoff Broker::ExtractDoc(const std::string& doc_name) {
     it = sessions_.erase(it);
   }
   out.broadcast_pending = pending_broadcasts_.erase(doc_name) > 0;
-  // Encodes are deterministic; the adopting broker re-derives them. Not
-  // carrying the cache keeps the handoff payload session-sized.
-  patch_cache_.erase(doc_name);
   return out;
 }
 
@@ -290,27 +245,13 @@ void Broker::SweepIdleSessions(uint64_t now) {
     return;
   }
   last_sweep_ = now;
-  std::vector<std::string> swept_docs;
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (now >= it->second.last_active + config_.session_idle_timeout) {
-      if (swept_docs.empty() || swept_docs.back() != it->first.first) {
-        swept_docs.push_back(it->first.first);
-      }
       it = sessions_.erase(it);
       ++stats_.expired;
     } else {
       ++it;
     }
-  }
-  for (const std::string& doc_name : swept_docs) {
-    MaybeDropPatchCache(doc_name);
-  }
-}
-
-void Broker::MaybeDropPatchCache(const std::string& doc_name) {
-  auto it = sessions_.lower_bound(SessionKey{doc_name, INT_MIN});
-  if (it == sessions_.end() || it->first.first != doc_name) {
-    patch_cache_.erase(doc_name);
   }
 }
 

@@ -52,35 +52,35 @@
 // document broadcast-pending, and the fan-out runs once from OnTick after
 // every message of the tick was applied. N patches to one document in a
 // tick therefore cost one fan-out round instead of N (cutting the
-// amplification from N*subscribers patch encodes to subscribers), and
-// subscribers whose summary estimates are equal share a single encoded
-// patch. Equal estimates are the steady state for read-only subscribers,
-// which batching keeps in lockstep, but not for writers: every writer holds
-// its own newest events and lacks the others', so on an all-writer document
-// each writer's summary is distinct and each needs its own encode. The
-// server-writers benchmark (4 docs x 32 writers) makes 1486.5 MakePatch
-// calls per replay and reuses only 126 across ticks, which is why the
-// encoder's per-call cost (sync/patch.h) matters here. The sender of a
-// patch is not special-cased: after its summary update, the patch built
-// against its estimate is empty (or carries exactly the other clients'
-// same-tick events, which it needs anyway). Batching delays a
+// amplification from N*subscribers patch encodes to subscribers). The
+// sender of a patch is not special-cased: after its summary update, the
+// patch built against its estimate is empty (or carries exactly the other
+// clients' same-tick events, which it needs anyway). Batching delays a
 // fan-out by less than one tick, which is below the network's minimum
 // latency — the protocol's loss tolerance is untouched.
 //
-// Patch encodes are *watermarked and cached across ticks*: every encoded
-// patch is remembered per (document, receiver summary), stamped with the
-// document's end LV at encode time — the entry's watermark. A later
-// request for the same summary reuses the bytes as long as every event
-// appended past the watermark is already covered by that summary
-// (SummaryCoversRange over the agent-span runs in the gap — O(new runs),
-// no re-encode): the missing set, and therefore the deterministic
-// encoding, cannot have changed, so the cached bytes are still
-// byte-identical to a fresh MakePatch. Validation advances the watermark.
-// Together with the O(delta) MakePatch (sync/patch.h) this makes the
-// steady-state fan-out cost of a mostly-caught-up subscriber O(events it
-// is actually sent): hits within one fan-out round count as
-// patch_encodes_shared, cross-tick hits as patch_encodes_reused, and the
-// scanned/encoded event counters expose the O(delta) property to tests.
+// Encodes are shared *within one fan-out round* and nowhere else:
+// subscribers whose estimates are equal get one MakePatch between them
+// (patch_encodes_shared counts the rest). Equal estimates are the steady
+// state for read-only subscribers, which batching keeps in lockstep, but
+// not for writers: every writer holds its own newest events and lacks the
+// others', so on an all-writer document each writer's estimate is distinct
+// and each needs its own encode. The round compares the estimates in place
+// and advances them only after its last encode, so grouping copies no
+// summary. Sync requests (the heartbeat) are encoded fresh every time.
+//
+// There is no cross-tick cache of encoded patches. MakePatch is O(delta)
+// with a constant number of allocations per call (sync/patch.h), and an
+// encode is deterministic, so a remembered patch could only ever repeat
+// the bytes a fresh encode writes. A watermarked per-document LRU of
+// encodes did exist; on the benchmark's recorded replays it saved 126 of
+// 1608.75 encodes on server-writers (4 docs x 32 writers) and 3964.25 of
+// 13521 on server-churn (4 writers + 28 syncing readers per doc) —
+// about 100 ms of encode time per 3.6 s churn replay — while its entries
+// made the broker's steady-state heap 17.6% (writers) and 4.5% (churn)
+// larger. The wire bytes did not change when it was removed
+// (tests/golden/broker_stream.fnv64). The scanned/encoded event counters
+// expose MakePatch's O(delta) property to tests.
 //
 // Checkpointing: after applying client patches the broker flushes the
 // document's new events to the registry's incremental checkpoint chain
@@ -127,9 +127,8 @@ class Broker : public Endpoint {
     uint64_t broadcasts = 0;       // Patches actually sent by fan-out.
     uint64_t broadcast_rounds = 0; // Per-tick fan-outs (<= patches_applied).
     uint64_t patch_encodes = 0;        // MakePatch calls (fan-out + sync).
-    uint64_t patch_encodes_shared = 0; // Cache hits within one fan-out round.
-    uint64_t patch_encodes_reused = 0; // Cross-tick cache hits (watermark
-                                       // still valid after new events).
+    uint64_t patch_encodes_shared = 0; // Subscribers served by an encode
+                                       // made earlier in the same round.
     uint64_t patch_events_scanned = 0; // Events visited by MakePatch.
     uint64_t patch_events_encoded = 0; // Events written into patches.
     uint64_t leaves = 0;
@@ -145,7 +144,6 @@ class Broker : public Endpoint {
       fn("broadcast_rounds", &Stats::broadcast_rounds);
       fn("patch_encodes", &Stats::patch_encodes);
       fn("patch_encodes_shared", &Stats::patch_encodes_shared);
-      fn("patch_encodes_reused", &Stats::patch_encodes_reused);
       fn("patch_events_scanned", &Stats::patch_events_scanned);
       fn("patch_events_encoded", &Stats::patch_events_encoded);
       fn("leaves", &Stats::leaves);
@@ -175,9 +173,8 @@ class Broker : public Endpoint {
   };
 
   // Everything a broker knows about one document's subscribers, packaged
-  // for shard handoff. The patch-encode cache deliberately stays behind
-  // (and is dropped): encodes are deterministic, so the adopting broker
-  // rebuilds byte-identical entries on demand.
+  // for shard handoff. That is all the per-document state a broker keeps:
+  // patches are encoded per round, so none travel with the document.
   struct DocHandoff {
     std::map<int, Session> sessions;  // Keyed by client endpoint id.
     bool broadcast_pending = false;   // Un-flushed fan-out owed to the doc.
@@ -200,8 +197,8 @@ class Broker : public Endpoint {
   // Flushes the tick's batched broadcasts (see the file comment).
   void OnTick(NetSim& net, int self) override;
 
-  // Removes and returns `doc_name`'s sessions and pending-broadcast flag;
-  // drops its patch-cache entries. The shard-handoff drain step.
+  // Removes and returns `doc_name`'s sessions and pending-broadcast flag.
+  // The shard-handoff drain step.
   DocHandoff ExtractDoc(const std::string& doc_name);
   // Installs a DocHandoff extracted from another broker (adopt step).
   void AdoptDoc(const std::string& doc_name, DocHandoff handoff);
@@ -215,56 +212,25 @@ class Broker : public Endpoint {
   // subscribers instead of every session on the server.
   using SessionKey = std::pair<std::string, int>;
 
-  // One remembered encode of the watermarked patch cache (see the file
-  // comment). `end_lv` is the watermark: the document end the bytes were
-  // last validated against.
-  struct CachedEncode {
-    VersionSummary summary;
-    Lv end_lv = 0;
-    std::string patch;
-    uint64_t stamp = 0;  // LRU clock value of the last hit or encode.
-    uint64_t epoch = 0;  // Encode epoch of the last hit (shared-vs-reused).
-  };
-  // Cached entries per document, LRU-capped. Entries never go stale-wrong:
-  // reuse is gated on the watermark check against the live graph, so an
-  // invalid entry is simply re-encoded in place.
-  static constexpr size_t kPatchCacheEntriesPerDoc = 16;
-
   void HandleSyncRequest(MessageSink& sink, int from, const Message& msg);
   void HandlePatch(MessageSink& sink, int from, const Message& msg);
   // Erases sessions idle past the timeout; runs lazily from Handle.
   void SweepIdleSessions(uint64_t now);
   // Sends each live subscriber of `doc_name` the delta it is missing,
-  // encoding one patch per distinct subscriber summary and reusing
-  // watermark-valid encodes from previous ticks. `doc` is the caller's
-  // already-open registry reference (re-opening here would distort the
-  // registry's hit-rate stats).
+  // encoding one patch per distinct subscriber estimate in this round.
+  // `doc` is the caller's already-open registry reference (re-opening here
+  // would distort the registry's hit-rate stats).
   void Broadcast(MessageSink& sink, Doc& doc, const std::string& doc_name);
   void MaybeCheckpoint(const std::string& doc_name);
-  // The patch for `summary` against `doc`, from the cache when the
-  // watermark validates, freshly encoded (and cached) otherwise. `epoch`
-  // groups lookups of one fan-out round for the shared/reused stats split.
-  // The reference is valid until the next CachedPatch call.
-  const std::string& CachedPatch(Doc& doc, const std::string& doc_name,
-                                 const VersionSummary& summary, uint64_t epoch);
-  // Frees `doc_name`'s cached encodes once no session subscribes to it —
-  // the cache's memory lifetime is tied to subscriber interest, so broker
-  // memory does not grow with every document ever touched.
-  void MaybeDropPatchCache(const std::string& doc_name);
-
+  // MakePatch for `summary`, under the broker.encode_patch span and counted
+  // in the patch_encodes / patch_events_* stats.
+  std::string EncodePatch(const Doc& doc, const VersionSummary& summary);
   DocRegistry& registry_;
   Config config_;
   int endpoint_id_ = -1;
   std::map<SessionKey, Session> sessions_;
   // Documents with applied-but-not-yet-broadcast events; flushed by OnTick.
   std::set<std::string> pending_broadcasts_;
-  std::map<std::string, std::vector<CachedEncode>> patch_cache_;
-  // Scratch slot for a round with more distinct subscriber summaries than
-  // cache slots: the overflow encode lands here instead of evicting an
-  // entry already served this round (see CachedPatch).
-  CachedEncode overflow_encode_;
-  uint64_t patch_cache_clock_ = 0;
-  uint64_t patch_epoch_ = 0;
   uint64_t last_sweep_ = 0;
   Stats stats_;
 };

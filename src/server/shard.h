@@ -3,8 +3,7 @@
 // The sharded server (ROADMAP: scale-out) splits document names across N
 // shards. Each shard is a complete single-threaded server in miniature — its
 // own MemStorage, DocRegistry (LRU + checkpoint chains), Broker (sessions,
-// pending broadcasts, patch-encode cache) — owned exclusively by one worker
-// thread. No document state is shared between shards, and nothing here is
+// pending broadcasts) — owned exclusively by one worker thread. No document state is shared between shards, and nothing here is
 // protected by a lock around data: the only synchronization in the whole
 // design is the pair of bounded queues (util/mpsc.h) each shard exposes.
 //
@@ -58,8 +57,7 @@
 //      segment — PR 5's session checkpoints make the later re-open a
 //      *resume*, not a replay), lift its whole chain out of A's storage,
 //      and extract its broker state (subscriber sessions + pending-
-//      broadcast flag; the patch cache is dropped, encodes re-derive
-//      deterministically). A replies with the chain + handoff.
+//      broadcast flag). A replies with the chain + handoff.
 //   2. kAdopt -> B: install the chain into B's storage and the sessions
 //      into B's broker. B acks.
 //   3. The router repoints its placement map; the next message for the doc

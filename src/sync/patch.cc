@@ -413,33 +413,6 @@ std::string MakePatchReference(const Doc& doc, const VersionSummary& they_have,
   return EncodePendingChunks(g, chunks);
 }
 
-bool SummaryCoversRange(const Graph& graph, const VersionSummary& summary, Lv from, Lv to) {
-  if (from >= to) {
-    return true;
-  }
-  if (to > graph.size()) {
-    return false;
-  }
-  const RleVec<AgentSpan>& spans = graph.agent_spans();
-  size_t idx = spans.FindIndex(from);
-  EGW_CHECK(idx != RleVec<AgentSpan>::npos);
-  for (; idx < spans.run_count(); ++idx) {
-    const AgentSpan& as = spans[idx];
-    if (as.span.start >= to) {
-      break;
-    }
-    // Summaries are per-agent prefixes, so covering the range's highest seq
-    // in this run covers the whole overlap.
-    Lv hi = std::min(to, as.span.end);
-    uint64_t seq_hi = as.seq_start + (hi - as.span.start);
-    auto it = summary.agents.find(graph.AgentName(as.agent));
-    if (it == summary.agents.end() || it->second < seq_hi) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::optional<RemoteBatch> DecodePatch(std::string_view bytes, std::string* error) {
   auto fail = [&](const char* msg) -> std::optional<RemoteBatch> {
     if (error != nullptr) {

@@ -131,13 +131,6 @@ std::string MakePatch(const Doc& doc, const VersionSummary& they_have,
 std::string MakePatchReference(const Doc& doc, const VersionSummary& they_have,
                                MakePatchStats* stats = nullptr);
 
-// True iff the holder of `summary` already has every event in [from, to) —
-// i.e. each event's (agent, seq) sits below the summary's watermark. The
-// broker's cross-tick encode cache uses this as the reuse condition: a
-// cached patch stays valid while every event appended past its encode
-// point is already known to the receiver. O(agent runs in the range).
-bool SummaryCoversRange(const Graph& graph, const VersionSummary& summary, Lv from, Lv to);
-
 // Decodes a patch into a remote batch (ready for Doc::ApplyRemoteBatch).
 // The batch's agent names and text are views into `bytes`, which must
 // outlive it.

@@ -399,88 +399,103 @@ TEST(Doc, LoadedDocMergesWithPeers) {
   EXPECT_EQ(alice.Text(), "> document body <");
 }
 
-TEST(Doc, ApplyRemoteChunksValidatesBeforeTouchingAnything) {
+TEST(Doc, ApplyRemoteBatchValidatesBeforeTouchingAnything) {
   Doc doc("local");
   doc.Insert(0, "base");
   std::string before = doc.Text();
 
-  auto expect_rejected = [&](RemoteChunk chunk, const char* why) {
+  auto expect_rejected = [&](const RemoteBatch& batch, const char* why) {
     std::string error;
-    EXPECT_FALSE(doc.ApplyRemoteChunks({chunk}, &error).has_value()) << why;
+    EXPECT_FALSE(doc.ApplyRemoteBatch(batch, &error).has_value()) << why;
     EXPECT_FALSE(error.empty()) << why;
     EXPECT_EQ(doc.Text(), before) << why;  // Never half-applied.
+    EXPECT_FALSE(doc.graph().FindAgent("remote").has_value()) << why;
   };
 
-  RemoteChunk good;
-  good.agent = "remote";
-  good.seq_start = 0;
-  good.count = 2;
-  good.parents = {RawVersion{"local", 3}};
-  good.kind = OpKind::kInsert;
-  good.pos = 0;
-  good.text = "ab";
+  // One run: "remote" inserts "ab" at 0 after (local, 3).
+  RemoteBatch good;
+  good.agents = {"remote", "local"};
+  good.parents = {{1, 3}};
+  RemoteBatch::Run run;
+  run.agent = 0;
+  run.seq_start = 0;
+  run.count = 2;
+  run.parents_begin = 0;
+  run.parents_end = 1;
+  run.kind = OpKind::kInsert;
+  run.pos = 0;
+  run.text = "ab";
+  good.runs = {run};
 
-  RemoteChunk empty = good;
-  empty.count = 0;
-  empty.text = "";
-  expect_rejected(empty, "empty chunk");
+  RemoteBatch empty = good;
+  empty.runs[0].count = 0;
+  empty.runs[0].text = "";
+  expect_rejected(empty, "empty run");
 
-  RemoteChunk mismatch = good;
-  mismatch.text = "abc";  // 3 chars, count 2.
+  RemoteBatch mismatch = good;
+  mismatch.runs[0].text = "abc";  // 3 chars, count 2.
   expect_rejected(mismatch, "text/count mismatch");
 
-  RemoteChunk unknown_parent = good;
-  unknown_parent.parents = {RawVersion{"nobody", 9}};
+  RemoteBatch unknown_parent = good;
+  unknown_parent.agents.push_back("nobody");
+  unknown_parent.parents = {{2, 9}};
   expect_rejected(unknown_parent, "unknown parent");
 
-  RemoteChunk chain_first = good;
-  chain_first.chain_previous = true;
-  expect_rejected(chain_first, "first chunk cannot chain");
+  RemoteBatch chain_first = good;
+  chain_first.runs[0].chain_previous = true;
+  expect_rejected(chain_first, "first run cannot chain");
 
-  RemoteChunk bad_backspace = good;
-  bad_backspace.kind = OpKind::kDelete;
-  bad_backspace.fwd = false;
-  bad_backspace.pos = 0;  // Two backspaces from position 0 underflow.
-  bad_backspace.text = "";
+  RemoteBatch bad_backspace = good;
+  bad_backspace.runs[0].kind = OpKind::kDelete;
+  bad_backspace.runs[0].fwd = false;
+  bad_backspace.runs[0].pos = 0;  // Two backspaces from position 0 underflow.
+  bad_backspace.runs[0].text = "";
   expect_rejected(bad_backspace, "backspace underflow");
 
-  // The well-formed chunk applies (possibly chained with a second).
-  RemoteChunk second;
-  second.agent = "remote";
+  // The well-formed run applies, chained with a second.
+  RemoteBatch::Run second;
+  second.agent = 0;
   second.seq_start = 2;
   second.count = 1;
   second.chain_previous = true;
   second.kind = OpKind::kInsert;
   second.pos = 2;
   second.text = "c";
-  auto merged = doc.ApplyRemoteChunks({good, second});
+  good.runs.push_back(second);
+  auto merged = doc.ApplyRemoteBatch(good);
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(*merged, 3u);
   EXPECT_EQ(doc.Text(), "abcbase");
 }
 
-TEST(Doc, ApplyRemoteChunksAcceptsForwardReferencesWithinBatch) {
-  // A chunk may reference a parent provided by an earlier chunk of the same
+TEST(Doc, ApplyRemoteBatchAcceptsForwardReferencesWithinBatch) {
+  // A run may reference a parent provided by an earlier run of the same
   // batch, even though it is unknown before the batch starts.
   Doc doc("local");
   doc.Insert(0, "x");
-  RemoteChunk first;
-  first.agent = "peer";
+  RemoteBatch batch;
+  batch.agents = {"peer", "local", "peer2"};
+  batch.parents = {{1, 0}, {0, 0}};  // (local, 0), then (peer, 0).
+  RemoteBatch::Run first;
+  first.agent = 0;
   first.seq_start = 0;
   first.count = 1;
-  first.parents = {RawVersion{"local", 0}};
+  first.parents_begin = 0;
+  first.parents_end = 1;
   first.kind = OpKind::kInsert;
   first.pos = 1;
   first.text = "y";
-  RemoteChunk second;
-  second.agent = "peer2";
+  RemoteBatch::Run second;
+  second.agent = 2;
   second.seq_start = 0;
   second.count = 1;
-  second.parents = {RawVersion{"peer", 0}};  // Provided by `first`.
+  second.parents_begin = 1;
+  second.parents_end = 2;  // (peer, 0): provided by `first`.
   second.kind = OpKind::kInsert;
   second.pos = 2;
   second.text = "z";
-  auto merged = doc.ApplyRemoteChunks({first, second});
+  batch.runs = {first, second};
+  auto merged = doc.ApplyRemoteBatch(batch);
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(doc.Text(), "xyz");
 }

@@ -1,16 +1,22 @@
 // Tests for the collaboration server subsystem: incremental checkpoint
 // segments, the DocRegistry LRU + flush/evict/reload lifecycle, the
-// NetSim's determinism, broker/client convergence scenarios, and the
+// NetSim's determinism, broker/client convergence scenarios, the broker's
+// recorded wire stream (tests/golden/broker_stream.fnv64), and the
 // randomized soak test of the acceptance criteria (many documents × many
 // clients under seeded drop/duplication/reordering, plus replay-free
 // reload equality for evicted documents).
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "encoding/columnar.h"
+#include "golden/broker_script.h"
 #include "golden/fixtures.h"
 #include "server/broker.h"
 #include "server/client.h"
@@ -851,6 +857,116 @@ TEST(Broker, PatchReorderedAfterLeaveAppliesWithoutGhostSession) {
   EXPECT_EQ(bob.doc("doc").Text(), "last words");  // Still broadcast to bob.
 }
 
+TEST(Broker, LockstepReadersShareOneEncodePerRound) {
+  // One writer and eight read-only subscribers. After the first edit's
+  // fan-out the readers' estimates are equal, so the next edit's round
+  // encodes twice: the writer's own patch (empty: it sent the events) and
+  // one patch that all eight readers share.
+  Harness h;
+  CollabClient writer("writer");
+  std::vector<CollabClient> readers;
+  readers.reserve(8);  // NetSim keeps pointers.
+  for (int r = 0; r < 8; ++r) {
+    readers.emplace_back("reader-" + std::to_string(r));
+  }
+  writer.Attach(h.net, h.broker.endpoint_id());
+  writer.Join(h.net, "doc");
+  for (CollabClient& reader : readers) {
+    reader.Attach(h.net, h.broker.endpoint_id());
+    reader.Join(h.net, "doc");
+  }
+  ASSERT_TRUE(h.net.Run(50));
+  writer.Insert("doc", 0, "first");
+  writer.PushEdits(h.net, "doc");
+  ASSERT_TRUE(h.net.Run(50));
+
+  const Broker::Stats before = h.broker.stats();
+  writer.Insert("doc", 5, " second");
+  writer.PushEdits(h.net, "doc");
+  ASSERT_TRUE(h.net.Run(50));
+  const Broker::Stats& after = h.broker.stats();
+  EXPECT_EQ(after.broadcast_rounds - before.broadcast_rounds, 1u);
+  EXPECT_EQ(after.patch_encodes - before.patch_encodes, 2u);
+  EXPECT_EQ(after.patch_encodes_shared - before.patch_encodes_shared, 7u);
+  EXPECT_EQ(after.broadcasts - before.broadcasts, 8u);
+  for (CollabClient& reader : readers) {
+    EXPECT_EQ(reader.doc("doc").Text(), "first second");
+  }
+}
+
+// --- The broker's recorded wire stream ----------------------------------------
+
+TEST(BrokerGolden, ScriptsReproduceRecordedSends) {
+  // broker_stream.fnv64 pins every message an earlier broker sent in the
+  // scripts of golden/broker_script.h (tests/golden/README.md): its tick,
+  // destination, type, document, summary and patch bytes.
+  struct Recorded {
+    uint64_t tick;
+    int to;
+    int type;
+    size_t bytes;
+    uint64_t fnv;
+  };
+  std::map<std::string, std::vector<Recorded>> recorded;
+  std::istringstream in(golden::ReadFixture("broker_stream.fnv64"));
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    char shape[16];
+    Recorded r{};
+    ASSERT_EQ(std::sscanf(line.c_str(), "%15s %" SCNu64 " %d %d %zu %" SCNx64, shape, &r.tick,
+                          &r.to, &r.type, &r.bytes, &r.fnv),
+              6)
+        << line;
+    recorded[shape].push_back(r);
+  }
+
+  for (const golden::BrokerShape& shape : golden::BrokerShapes()) {
+    const std::vector<Recorded>& want = recorded[shape.name];
+    ASSERT_GT(want.size(), 300u) << shape.name;
+    size_t next = 0;
+    size_t mismatches = 0;
+    golden::BrokerScriptOutcome out = golden::RunBrokerScript(
+        shape, [&](uint64_t tick, int to, const Message& msg) {
+          if (next < want.size()) {
+            const Recorded& r = want[next];
+            if (r.tick != tick || r.to != to || r.type != static_cast<int>(msg.type) ||
+                r.bytes != msg.patch.size() || r.fnv != golden::HashBrokerSend(tick, to, msg)) {
+              if (mismatches++ == 0) {
+                ADD_FAILURE() << shape.name << ": send " << next << " (tick " << tick << ", to "
+                              << to << ") differs from the recording (tick " << r.tick
+                              << ", to " << r.to << ")";
+              }
+            }
+          }
+          ++next;
+        });
+    EXPECT_EQ(next, want.size()) << shape.name;
+    EXPECT_EQ(mismatches, 0u) << shape.name;
+
+    // Each script reaches the paths it is there to pin.
+    const std::string name = shape.name;
+    EXPECT_GT(out.broker.broadcasts, 0u) << name;
+    EXPECT_GT(out.broker.sync_requests, 0u) << name;
+    if (name == "readers") {
+      EXPECT_GT(out.registry.evictions, 0u);
+      EXPECT_GT(out.broker.patch_encodes_shared, 0u);
+    } else if (name == "writers") {
+      EXPECT_EQ(out.registry.evictions, 0u);
+      EXPECT_GT(out.broker.broadcast_rounds, 0u);
+    } else {
+      EXPECT_EQ(name, "lossy");
+      EXPECT_GT(out.net.dropped, 0u);
+      EXPECT_GT(out.net.duplicated, 0u);
+      EXPECT_GT(out.client_rejections, 0u);
+      EXPECT_GT(out.broker.expired, 0u);
+      EXPECT_GT(out.broker.leaves, 0u);
+      EXPECT_GT(out.registry.evictions, 0u);
+    }
+  }
+}
+
 // --- The acceptance soak -----------------------------------------------------
 //
 // >= 8 documents x >= 6 clients each under seeded drop / duplication /
@@ -1055,12 +1171,11 @@ void RunAcceptanceSoak(bool merge_sessions, SoakOutcome* out,
   // The O(delta) patch pipeline: MakePatch visits only events it encodes,
   // so steady-state scanned-events-per-encoded-event is exactly 1 (the old
   // full scan visited the whole history per encode, making this ratio grow
-  // with document age). The watermarked cache also got cross-tick reuse.
+  // with document age).
   const Broker::Stats& bs = h.broker.stats();
   EXPECT_GT(bs.patch_encodes, 0u);
   EXPECT_GT(bs.patch_events_encoded, 0u);
   EXPECT_EQ(bs.patch_events_scanned, bs.patch_events_encoded);
-  EXPECT_GT(bs.patch_encodes_reused, 0u);
   out->server_replayed = h.registry.TotalReplayedEvents();
   out->server_session_resumes = h.registry.stats().session_resumes;
 }

@@ -170,28 +170,6 @@ TEST(Patch, MatchesReferenceScanOnEdgeSummaries) {
   expect_equal(SummarizeDoc(alice));                        // Caught up.
 }
 
-TEST(SummaryCovers, RangeChecks) {
-  Doc alice("alice");
-  alice.Insert(0, "aaaa");  // LVs [0, 4).
-  Doc bob("bob");
-  bob.MergeFrom(alice);
-  bob.Insert(4, "bb");      // LVs [4, 6) on alice after the merge below.
-  alice.MergeFrom(bob);
-  const Graph& g = alice.graph();
-  VersionSummary all = SummarizeDoc(alice);
-  EXPECT_TRUE(SummaryCoversRange(g, all, 0, g.size()));
-  EXPECT_TRUE(SummaryCoversRange(g, VersionSummary{}, 3, 3));  // Empty range.
-  EXPECT_FALSE(SummaryCoversRange(g, VersionSummary{}, 0, 1));
-  VersionSummary only_alice{{{"alice", 4}}};
-  EXPECT_TRUE(SummaryCoversRange(g, only_alice, 0, 4));
-  EXPECT_FALSE(SummaryCoversRange(g, only_alice, 0, 5));  // Bob's events.
-  VersionSummary partial{{{"alice", 2}, {"bob", 2}}};
-  EXPECT_FALSE(SummaryCoversRange(g, partial, 0, 4));  // alice seqs 2-3.
-  EXPECT_TRUE(SummaryCoversRange(g, partial, 0, 2));
-  EXPECT_TRUE(SummaryCoversRange(g, partial, 4, 6));
-  EXPECT_FALSE(SummaryCoversRange(g, all, 0, g.size() + 1));  // Past the end.
-}
-
 TEST(Patch, BackspaceRunDelta) {
   Doc alice("alice");
   alice.Insert(0, "abcdef");

@@ -18,8 +18,9 @@ What IS comparable is the per-row ratio measured/baseline relative to the
 other rows: a uniform machine-speed or scale factor shifts every ratio
 equally, while a real regression in one code path makes its rows stand
 out. The gate therefore normalises each row's ratio by the median ratio
-of its group and fails when any row regresses by more than --threshold
-(default 30%) against that median. The gate scales are chosen to keep the
+of its group and fails when any row regresses by more than its group's
+threshold (FIG8_THRESHOLD, 30%; MICRO_THRESHOLD and SERVER_THRESHOLD,
+50%) against that median. The gate scales are chosen to keep the
 baseline proportions (sequential traces 1.0 : concurrent 0.25 == 0.2 :
 0.05) so trace-size nonlinearity stays out of the ratios.
 
@@ -34,8 +35,11 @@ exact and machine-independent, so no normalisation applies.
 
 The sharded bench_server rows additionally get a same-machine scaling
 gate: the 4x32w/s4 recorded-load replay must beat 4x32w/s1 by
---server-scaling-min (2x) whenever the fresh measurement ran on >= 4
+SERVER_SCALING_MIN (2x) whenever the fresh measurement ran on >= 4
 hardware threads (see SERVER_SCALING below).
+
+Every threshold is a module constant next to the check that reads it; the
+command line names only the files to compare.
 """
 
 import argparse
@@ -44,8 +48,23 @@ import statistics
 import sys
 
 # Rows whose mean is below this many ms in either measurement are too noisy
-# to gate on (timer jitter dominates).
-DEFAULT_MIN_MS = 0.5
+# to gate on (timer jitter dominates). Applies to the fig8 and server groups.
+MIN_MS = 0.5
+
+# Committed fig8 and server baselines are before/after documents; the gate
+# compares against this section.
+FIG8_SECTION = "after"
+SERVER_SECTION = "after"
+
+# Maximum tolerated median-normalised regression per group (0.30 = 30%).
+FIG8_THRESHOLD = 0.30
+# The micro rows mix SIMD-, allocator- and branch-bound kernels whose
+# relative speed shifts between CPU families, so they need more headroom
+# than the homogeneous fig8 replay rows.
+MICRO_THRESHOLD = 0.50
+# End-to-end soak times fold in NetSim scheduling and map churn, which are
+# noisier than pure replay kernels.
+SERVER_THRESHOLD = 0.50
 
 # fig8 algorithms worth gating: the hot paths this repo optimises. OT rows
 # are excluded entirely — OT replay is quadratic in the concurrency window,
@@ -69,17 +88,21 @@ SERVER_PHASES = ("server soak",)
 # Rows with shards >= 2 are therefore excluded from the cross-machine time
 # gate and covered instead by the same-machine scaling check: for each
 # scenario listed here, the s4 row must beat the s1 row by at least
-# --server-scaling-min (default 2x). The check reads the `shards` and
+# SERVER_SCALING_MIN. The check reads the `shards` and
 # `hw_threads` annotations the bench stamps on every soak row and skips
 # (loudly) when the bench ran on fewer than 4 hardware threads, where the
 # speedup is physically unobtainable. The s1 rows run the full threaded
 # path on one worker, so they stay in the time gate and keep the router/
 # queue overhead under the ordinary regression threshold.
 SERVER_SCALING = ("4x32w",)
+SERVER_SCALING_MIN = 2.0
 
 # Convergence-latency rows below this many converged edits are too small a
 # sample for a stable p99.
 CONVERGENCE_MIN_COUNT = 20
+# Maximum tolerated convergence-latency p99 regression in simulated ticks
+# (0.50 = 50%; machine-independent, so no median normalisation).
+CONVERGENCE_MAX_REGRESS = 0.50
 
 
 def load_fig8_rows(path, section=None):
@@ -186,9 +209,13 @@ def check_group(name, baseline, measured, threshold, min_ms=None):
 # The two committed storm widths: per-insert scan work is compared between
 # them (narrow, wide) = (1024, 4096) — 4x the sibling-group width.
 STORM_SUBLINEAR = ("storm-1k", "storm")
+# Maximum tolerated growth of per-insert integration scan work across that
+# 4x width jump (linear growth would be ~4x, the fast path's logarithmic
+# growth ~1.2x).
+STORM_SUBLINEAR_MAX = 2.5
 
 
-def check_storm_sublinearity(measured_full, max_ratio):
+def check_storm_sublinearity(measured_full):
     """Gates sub-quadratic sibling-group integration (the YATA storm wall).
 
     The storm presets have fixed, deterministic shapes and the walker's
@@ -196,7 +223,7 @@ def check_storm_sublinearity(measured_full, max_ratio):
     counts, not wall clock — so this is a direct same-run comparison, no
     baseline or median normalisation. Per-insert integration work is
     (scan_steps + or_scan_steps + cmp_steps) / insert_events; quadrupling
-    the group width must grow it by at most --storm-sublinear-max (linear
+    the group width must grow it by at most STORM_SUBLINEAR_MAX (linear
     growth would be ~4x, the naive quadratic scan ~4x on top of an already
     width-proportional base, logarithmic ~1.2x)."""
     narrow = measured_full.get((STORM_SUBLINEAR[0], "eg-walker (merge)"))
@@ -219,11 +246,11 @@ def check_storm_sublinearity(measured_full, max_ratio):
               "annotations")
         return 0
     ratio = spi_wide / spi_narrow
-    flag = "ok" if ratio <= max_ratio else "FAIL"
+    flag = "ok" if ratio <= STORM_SUBLINEAR_MAX else "FAIL"
     print(f"[storm] {flag:4} per-insert scan work: storm-1k {spi_narrow:.2f} -> "
           f"storm {spi_wide:.2f} steps/insert = x{ratio:.2f} for 4x group width "
-          f"(max x{max_ratio:.1f})")
-    return 0 if ratio <= max_ratio else 1
+          f"(max x{STORM_SUBLINEAR_MAX:.1f})")
+    return 0 if ratio <= STORM_SUBLINEAR_MAX else 1
 
 
 # Tolerated growth of a micro row's allocs_per_call over the baseline. The
@@ -256,7 +283,7 @@ def check_micro_allocs(baseline, measured):
     return failures
 
 
-def check_server_scaling(full_rows, min_speedup):
+def check_server_scaling(full_rows):
     """Gates the s1-vs-s4 replay speedup for the SERVER_SCALING scenarios.
 
     Both rows come from the same fresh measurement (same machine, same run),
@@ -277,22 +304,26 @@ def check_server_scaling(full_rows, min_speedup):
         if r4["mean_ms"] <= 0:
             continue
         speedup = r1["mean_ms"] / r4["mean_ms"]
-        flag = "ok" if speedup >= min_speedup else "FAIL"
-        if speedup < min_speedup:
+        flag = "ok" if speedup >= SERVER_SCALING_MIN else "FAIL"
+        if speedup < SERVER_SCALING_MIN:
             failures += 1
         print(f"[server-scaling] {flag:4} {scenario}: s1 {r1['mean_ms']:.1f} ms / "
               f"s4 {r4['mean_ms']:.1f} ms = {speedup:.2f}x "
-              f"(min {min_speedup:.1f}x on {hw} hw threads)")
+              f"(min {SERVER_SCALING_MIN:.1f}x on {hw} hw threads)")
     return failures
 
 
-def check_sizes(name, baseline_full, measured_full, threshold):
+# Maximum tolerated per-row at-rest size growth (0.10 = 10%).
+SIZE_THRESHOLD = 0.10
+
+
+def check_sizes(name, baseline_full, measured_full):
     """Gates the at-rest file-size rows (fig11/fig12 filesize benches).
 
     Encoded sizes are deterministic for a given trace scale — no machine
     factor, no noise floor — so each row is compared directly against the
     committed baseline (measured at the same --scale): a file that grew by
-    more than --size-threshold fails. Shrinking is always fine."""
+    more than SIZE_THRESHOLD fails. Shrinking is always fine."""
     failures = 0
     pairs = []
     for key in sorted(set(baseline_full) & set(measured_full)):
@@ -304,7 +335,7 @@ def check_sizes(name, baseline_full, measured_full, threshold):
         print(f"[{name}] no size rows in both baseline and measurement - skipping gate")
         return 0
     for key, base, meas in pairs:
-        limit = base * (1.0 + threshold)
+        limit = base * (1.0 + SIZE_THRESHOLD)
         flag = "ok" if meas <= limit or base <= 0 else "FAIL"
         if flag == "FAIL":
             failures += 1
@@ -314,10 +345,14 @@ def check_sizes(name, baseline_full, measured_full, threshold):
     return failures
 
 
-def check_size_ratio(name, measured_full, min_ratio):
+# Minimum aggregate raw/compressed size ratio per filesize bench.
+SIZE_MIN_RATIO = 2.0
+
+
+def check_size_ratio(name, measured_full):
     """Gates the aggregate raw/compressed ratio of one filesize bench.
 
-    The compressed store must stay at least --size-min-ratio times smaller
+    The compressed store must stay at least SIZE_MIN_RATIO times smaller
     than the same file uncompressed, summed across the measured traces. The
     uncompressed twin of the "v2 compressed" rows is "v2 raw" in fig12 and
     the "event graph + cached doc" row itself in fig11."""
@@ -333,14 +368,14 @@ def check_size_ratio(name, measured_full, min_ratio):
         print(f"[{name}] no raw/compressed rows - skipping compression-ratio gate")
         return 0
     ratio = raw / comp
-    flag = "ok" if ratio >= min_ratio else "FAIL"
+    flag = "ok" if ratio >= SIZE_MIN_RATIO else "FAIL"
     print(f"[{name}] {flag:4} aggregate compression ratio: "
           f"{raw:.0f} B raw / {comp:.0f} B compressed = {ratio:.3f}x "
-          f"(min {min_ratio:.1f}x)")
-    return 0 if ratio >= min_ratio else 1
+          f"(min {SIZE_MIN_RATIO:.1f}x)")
+    return 0 if ratio >= SIZE_MIN_RATIO else 1
 
 
-def check_convergence(baseline_full, measured_full, max_regress):
+def check_convergence(baseline_full, measured_full):
     """Gates the convergence-latency p99 annotations on the soak rows.
 
     Convergence latency is measured in deterministic simulated NetSim ticks
@@ -362,7 +397,7 @@ def check_convergence(baseline_full, measured_full, max_regress):
         checked += 1
         base = float(base_row["convergence_p99"])
         meas = float(meas_row["convergence_p99"])
-        limit = base * (1.0 + max_regress)
+        limit = base * (1.0 + CONVERGENCE_MAX_REGRESS)
         flag = "ok" if meas <= limit or base <= 0 else "FAIL"
         if flag == "FAIL":
             failures += 1
@@ -378,42 +413,14 @@ def check_convergence(baseline_full, measured_full, max_regress):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--fig8-baseline", help="committed BENCH_fig8.json (uses its 'after' section)")
-    ap.add_argument("--fig8-section", default="after",
-                    help="section of the committed fig8 baseline to compare against")
+    ap.add_argument("--fig8-baseline",
+                    help=f"committed BENCH_fig8.json (uses its {FIG8_SECTION!r} section)")
     ap.add_argument("--fig8", nargs="*", default=[], help="fresh bench_fig8_merge --json outputs")
     ap.add_argument("--micro-baseline", help="committed BENCH_micro.json")
     ap.add_argument("--micro", nargs="*", default=[], help="fresh bench_micro --json outputs")
     ap.add_argument("--server-baseline",
-                    help="committed BENCH_server.json (uses its 'after' section)")
-    ap.add_argument("--server-section", default="after",
-                    help="section of the committed server baseline to compare against")
+                    help=f"committed BENCH_server.json (uses its {SERVER_SECTION!r} section)")
     ap.add_argument("--server", nargs="*", default=[], help="fresh bench_server --json outputs")
-    ap.add_argument("--threshold", type=float, default=0.30,
-                    help="maximum tolerated median-normalised regression (0.30 = 30%%)")
-    ap.add_argument("--micro-threshold", type=float, default=0.50,
-                    help="threshold for the micro group: its rows mix SIMD-, "
-                         "allocator-, and branch-bound kernels whose relative "
-                         "speed shifts between CPU families, so it needs more "
-                         "headroom than the homogeneous fig8 replay rows")
-    ap.add_argument("--server-threshold", type=float, default=0.50,
-                    help="threshold for the server group: end-to-end soak "
-                         "times fold in NetSim scheduling and map churn, "
-                         "which are noisier than pure replay kernels")
-    ap.add_argument("--server-scaling-min", type=float, default=2.0,
-                    help="minimum s1/s4 replay speedup for the SERVER_SCALING "
-                         "scenarios (checked only on >= 4-thread machines)")
-    ap.add_argument("--convergence-threshold", type=float, default=0.50,
-                    help="maximum tolerated convergence-latency p99 regression "
-                         "in simulated ticks (0.50 = 50%%; machine-independent, "
-                         "so no median normalisation)")
-    ap.add_argument("--min-ms", type=float, default=DEFAULT_MIN_MS,
-                    help="ignore fig8 rows faster than this (noise floor)")
-    ap.add_argument("--storm-sublinear-max", type=float, default=2.5,
-                    help="maximum tolerated growth of per-insert integration "
-                         "scan work between the storm-1k and storm rows (4x "
-                         "group width; linear growth would be ~4x, the fast "
-                         "path's logarithmic growth ~1.2x)")
     ap.add_argument("--sizes-baseline", action="append", default=[],
                     help="committed filesize baseline (BENCH_fig11.json / "
                          "BENCH_fig12.json); repeatable, paired with --sizes "
@@ -421,18 +428,11 @@ def main():
     ap.add_argument("--sizes", action="append", default=[],
                     help="fresh bench_fig11_filesize / bench_fig12_filesize "
                          "--json output, paired with --sizes-baseline")
-    ap.add_argument("--size-threshold", type=float, default=0.10,
-                    help="maximum tolerated per-row at-rest size growth "
-                         "(0.10 = 10%%; sizes are deterministic per scale, "
-                         "so rows are compared directly, no normalisation)")
-    ap.add_argument("--size-min-ratio", type=float, default=2.0,
-                    help="minimum aggregate raw/compressed size ratio "
-                         "per filesize bench")
     args = ap.parse_args()
 
     failures = 0
     if args.fig8_baseline and args.fig8:
-        baseline = load_fig8_rows(args.fig8_baseline, section=args.fig8_section)
+        baseline = load_fig8_rows(args.fig8_baseline, section=FIG8_SECTION)
         baseline = {k: v for k, v in baseline.items() if k[1] in FIG8_ALGORITHMS}
         measured = {}
         measured_full = {}
@@ -440,14 +440,14 @@ def main():
             measured.update(load_fig8_rows(path))
             measured_full.update(load_full_rows(path))
         measured = {k: v for k, v in measured.items() if k[1] in FIG8_ALGORITHMS}
-        failures += check_group("fig8", baseline, measured, args.threshold, args.min_ms)
-        failures += check_storm_sublinearity(measured_full, args.storm_sublinear_max)
+        failures += check_group("fig8", baseline, measured, FIG8_THRESHOLD, MIN_MS)
+        failures += check_storm_sublinearity(measured_full)
     if args.micro_baseline and args.micro:
         baseline = load_micro_rows(args.micro_baseline)
         measured = {}
         for path in args.micro:
             measured.update(load_micro_rows(path))
-        failures += check_group("micro", baseline, measured, args.micro_threshold)
+        failures += check_group("micro", baseline, measured, MICRO_THRESHOLD)
         allocs = {}
         for path in args.micro:
             allocs.update(load_micro_counters(path, "allocs_per_call"))
@@ -457,7 +457,7 @@ def main():
         # bench_server emits the same {trace, algorithm, mean_ms} row schema
         # as fig8 (trace = scenario, algorithm = phase), so the loader is
         # shared; only the gated phases differ.
-        baseline = load_fig8_rows(args.server_baseline, section=args.server_section)
+        baseline = load_fig8_rows(args.server_baseline, section=SERVER_SECTION)
         baseline = {k: v for k, v in baseline.items() if k[1] in SERVER_PHASES}
         full = {}
         for path in args.server:
@@ -470,13 +470,10 @@ def main():
                       f"is core-count dependent (covered by the scaling gate)")
         measured = {k: row["mean_ms"] for k, row in full.items()
                     if k[1] in SERVER_PHASES and row.get("shards", 0) < 2}
-        failures += check_group("server", baseline, measured, args.server_threshold,
-                                args.min_ms)
-        failures += check_server_scaling(full, args.server_scaling_min)
-        baseline_full = load_full_rows(args.server_baseline,
-                                       section=args.server_section)
-        failures += check_convergence(baseline_full, full,
-                                      args.convergence_threshold)
+        failures += check_group("server", baseline, measured, SERVER_THRESHOLD, MIN_MS)
+        failures += check_server_scaling(full)
+        baseline_full = load_full_rows(args.server_baseline, section=SERVER_SECTION)
+        failures += check_convergence(baseline_full, full)
 
     if len(args.sizes_baseline) != len(args.sizes):
         ap.error("--sizes-baseline and --sizes must be paired")
@@ -484,13 +481,11 @@ def main():
         baseline_full = load_full_rows(base_path)
         measured_full = load_full_rows(meas_path)
         name = "sizes:" + base_path
-        failures += check_sizes(name, baseline_full, measured_full,
-                                args.size_threshold)
-        failures += check_size_ratio(name, measured_full, args.size_min_ratio)
+        failures += check_sizes(name, baseline_full, measured_full)
+        failures += check_size_ratio(name, measured_full)
 
     if failures:
-        print(f"\nbench gate: {failures} row(s) regressed beyond "
-              f"{args.threshold:.0%} of the group median")
+        print(f"\nbench gate: {failures} check(s) failed (FAIL lines above)")
         return 1
     print("\nbench gate: OK")
     return 0
