@@ -73,12 +73,12 @@
 // with a constant number of allocations per call (sync/patch.h), and an
 // encode is deterministic, so a remembered patch could only ever repeat
 // the bytes a fresh encode writes. A watermarked per-document LRU of
-// encodes did exist; on the benchmark's recorded replays it saved 126 of
+// encodes did exist. On the benchmark's recorded replays it saved 126 of
 // 1608.75 encodes on server-writers (4 docs x 32 writers) and 3964.25 of
-// 13521 on server-churn (4 writers + 28 syncing readers per doc) —
-// about 100 ms of encode time per 3.6 s churn replay — while its entries
-// made the broker's steady-state heap 17.6% (writers) and 4.5% (churn)
-// larger. The wire bytes did not change when it was removed
+// 13521 on server-churn (4 writers + 28 syncing readers per doc), about
+// 110 ms of encode time in a churn replay that keeps its shard busy for
+// 3.3 s. Its entries were 17.6% (writers) and 4.6% (churn) of the
+// steady-state heap. The wire bytes did not change when it was removed
 // (tests/golden/broker_stream.fnv64). The scanned/encoded event counters
 // expose MakePatch's O(delta) property to tests.
 //
@@ -225,6 +225,7 @@ class Broker : public Endpoint {
   // MakePatch for `summary`, under the broker.encode_patch span and counted
   // in the patch_encodes / patch_events_* stats.
   std::string EncodePatch(const Doc& doc, const VersionSummary& summary);
+
   DocRegistry& registry_;
   Config config_;
   int endpoint_id_ = -1;
